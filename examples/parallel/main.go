@@ -46,25 +46,28 @@ func main() {
 	}
 
 	run := func(label string, cfg fusedscan.Config) {
-		if err := eng.SetConfig(cfg); err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("%s (4M rows, 50%% selectivity per predicate)\n", label)
-		fmt.Printf("%-8s %14s %14s %14s %10s\n", "cores", "runtime", "compute", "memory", "speedup")
+		fmt.Printf("%-8s %14s %14s %10s\n", "cores", "runtime", "memory", "speedup")
 		var base float64
 		for _, cores := range []int{1, 2, 4, 8, 16} {
+			cfg.Cores, cfg.MorselRows = cores, 250_000
+			if err := eng.SetConfig(cfg); err != nil {
+				log.Fatal(err)
+			}
 			res, err := eng.NewScan("tbl").
 				Where("a", "=", "5").
 				Where("b", "=", "2").
-				RunParallel(cores, 250_000)
+				Run()
 			if err != nil {
 				log.Fatal(err)
 			}
+			rep := res.Report
 			if cores == 1 {
-				base = res.RuntimeMs
+				base = rep.RuntimeMs
 			}
-			fmt.Printf("%-8d %11.3f ms %11.3f ms %11.3f ms %9.2fx\n",
-				cores, res.RuntimeMs, res.ComputeMs, res.MemMs, base/res.RuntimeMs)
+			memMs := rep.MemCycles / rep.RuntimeCycles * rep.RuntimeMs
+			fmt.Printf("%-8d %11.3f ms %11.3f ms %9.2fx\n",
+				cores, rep.RuntimeMs, memMs, base/rep.RuntimeMs)
 		}
 		fmt.Println()
 	}

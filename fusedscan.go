@@ -39,9 +39,7 @@ import (
 	"fusedscan/internal/jit"
 	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
-	"fusedscan/internal/parallel"
 	"fusedscan/internal/pqp"
-	"fusedscan/internal/scan"
 	"fusedscan/internal/sqlparse"
 	"fusedscan/internal/storage"
 	"fusedscan/internal/vec"
@@ -67,12 +65,13 @@ type Config struct {
 	// RegisterWidth 128).
 	AVX2 bool
 	// Cores > 1 executes predicate-chain scans morsel-parallel on that
-	// many simulated cores (see internal/parallel), feeding one ordered
-	// batch stream into the rest of the plan. 0 or 1 means single-core —
-	// the paper's evaluation setting.
+	// many cores (see internal/parallel) — simulated ones under Simulate —
+	// feeding one ordered batch stream into the rest of the plan. 0 or 1
+	// means single-core — the paper's evaluation setting.
 	Cores int
-	// MorselRows is the morsel size for parallel scans (0 = one pipeline
-	// batch, 65536 rows).
+	// MorselRows is the morsel size of predicate-chain scans at any core
+	// count, and the zone-map pruning granularity (0 = one pipeline batch,
+	// 65536 rows).
 	MorselRows int
 }
 
@@ -106,6 +105,9 @@ func (c Config) options() (pqp.Options, error) {
 	}
 	if c.Cores < 0 {
 		return pqp.Options{}, fmt.Errorf("fusedscan: cores must be >= 0, got %d", c.Cores)
+	}
+	if c.MorselRows < 0 {
+		return pqp.Options{}, fmt.Errorf("fusedscan: morsel rows must be >= 0, got %d", c.MorselRows)
 	}
 	return pqp.Options{
 		Native: !c.Simulate, UseFused: c.UseFused, Width: w, ISA: isa,
@@ -1067,8 +1069,7 @@ type ScanResult struct {
 	// Report carries the simulated hardware counters when the engine runs
 	// with Config.Simulate; nil on the native path.
 	Report *PerfReport
-	// ChunksPruned counts chunks skipped by zone-map pruning (chunked and
-	// native executions; a whole-table simulated pass has no chunks).
+	// ChunksPruned counts morsels skipped by zone-map pruning.
 	ChunksPruned int
 	// Encoding names the storage encoding of the chain's predicate
 	// columns ("plain", "packed" or "mixed"); BytesScanned totals the
@@ -1083,13 +1084,13 @@ type ScanResult struct {
 }
 
 // Scan starts a direct predicate-chain scan on a table, bypassing SQL —
-// the API benchmarks and embedding applications use.
+// the API benchmarks and embedding applications use. It runs as a
+// one-leaf physical plan under the engine's Config (Cores, MorselRows).
 type Scan struct {
-	eng       *Engine
-	tbl       *column.Table
-	chain     scan.Chain
-	chunkRows int
-	err       error
+	eng   *Engine
+	tbl   *column.Table
+	preds []expr.Predicate
+	err   error
 }
 
 // NewScan begins building a chain scan over a registered table.
@@ -1119,7 +1120,7 @@ func (s *Scan) Where(col, op, literal string) *Scan {
 		s.err = err
 		return s
 	}
-	s.chain = append(s.chain, scan.Pred{Col: c, Op: cmpOp, Value: v})
+	s.preds = append(s.preds, expr.Predicate{Column: col, Op: cmpOp, Value: v})
 	return s
 }
 
@@ -1133,121 +1134,11 @@ func (s *Scan) whereNull(col string, kind expr.PredKind) *Scan {
 	if s.err != nil {
 		return s
 	}
-	c, err := s.tbl.Column(col)
-	if err != nil {
+	if _, err := s.tbl.Column(col); err != nil {
 		s.err = err
 		return s
 	}
-	s.chain = append(s.chain, scan.Pred{Col: c, Kind: kind})
-	return s
-}
-
-// ParallelResult is the outcome of Scan.RunParallel.
-type ParallelResult struct {
-	Count     int
-	Positions []uint32
-	Cores     int
-	RuntimeMs float64 // modelled multi-core runtime (shared socket bandwidth)
-	ComputeMs float64 // slowest core's compute time
-	MemMs     float64 // memory time at the aggregate bandwidth
-	// Degraded is set when JIT compilation failed for at least one morsel
-	// and the scan fell back to the scalar kernel there; DegradedReason
-	// records the first reason.
-	Degraded       bool
-	DegradedReason string
-}
-
-// RunParallel executes the chain morsel-at-a-time on the given number of
-// simulated cores (an extension beyond the paper's single-core evaluation;
-// see internal/parallel). Results are identical to Run.
-func (s *Scan) RunParallel(cores, morselRows int) (*ParallelResult, error) {
-	return s.RunParallelContext(context.Background(), cores, morselRows)
-}
-
-// RunParallelContext is RunParallel with cooperative cancellation: workers
-// check ctx between morsels, and a cancelled context returns ctx.Err().
-// A failed JIT compile degrades the affected morsels to the scalar kernel
-// rather than failing the scan.
-func (s *Scan) RunParallelContext(ctx context.Context, cores, morselRows int) (*ParallelResult, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts, err := s.eng.Config().options()
-	if err != nil {
-		return nil, err
-	}
-	deg := newDegradation()
-	build := func(ch scan.Chain) (scan.Kernel, error) {
-		if opts.Native {
-			return scan.NewNative(ch)
-		}
-		if !opts.UseFused {
-			return scan.NewSISD(ch)
-		}
-		k, _, err := s.eng.compiler.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			if sk, serr := scan.NewSISD(ch); serr == nil {
-				deg.record(err)
-				return sk, nil
-			}
-			return nil, err
-		}
-		return k, nil
-	}
-	res, err := parallel.ScanContext(ctx, s.eng.params, s.chain, build, cores, morselRows, true)
-	if err != nil {
-		return nil, err
-	}
-	degraded, reason := deg.state()
-	return &ParallelResult{
-		Count:          res.Count,
-		Positions:      res.Positions,
-		Cores:          res.Cores,
-		RuntimeMs:      res.RuntimeMs,
-		ComputeMs:      res.ComputeMs,
-		MemMs:          res.MemMs,
-		Degraded:       degraded,
-		DegradedReason: reason,
-	}, nil
-}
-
-// degradation records the first JIT-fallback reason across (possibly
-// concurrent) kernel builds.
-type degradation struct {
-	mu     sync.Mutex
-	reason string
-	set    bool
-}
-
-func newDegradation() *degradation { return &degradation{} }
-
-func (d *degradation) record(err error) {
-	d.mu.Lock()
-	if !d.set {
-		d.set = true
-		d.reason = fmt.Sprintf("jit unavailable, using scalar scan: %v", err)
-	}
-	d.mu.Unlock()
-}
-
-func (d *degradation) state() (bool, string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.set, d.reason
-}
-
-// Chunked makes Run execute chunk-at-a-time over horizontal partitions of
-// the given size (the paper's chunk/morsel footnote). Results are
-// identical to a whole-table scan.
-func (s *Scan) Chunked(rows int) *Scan {
-	if s.err == nil && rows <= 0 {
-		s.err = fmt.Errorf("fusedscan: chunk size must be positive, got %d", rows)
-		return s
-	}
-	s.chunkRows = rows
+	s.preds = append(s.preds, expr.Predicate{Column: col, Kind: kind})
 	return s
 }
 
@@ -1257,13 +1148,12 @@ func (s *Scan) Run() (*ScanResult, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: when ctx can be
-// cancelled, the scan executes chunk-at-a-time (semantically identical)
-// and checks ctx between chunks, so a cancelled or deadline-exceeded
-// context aborts the scan promptly with ctx.Err(). A failed JIT compile
-// degrades the scan to the scalar kernel rather than failing it. When the
-// engine has a per-query memory budget configured, position-list growth is
-// charged against it and the scan fails with ErrMemoryBudget when exceeded.
+// RunContext is Run with cooperative cancellation: ctx is checked between
+// morsels, so a cancelled or deadline-exceeded context aborts the scan
+// promptly with ctx.Err(). A failed JIT compile degrades the scan to the
+// scalar kernel rather than failing it. When the engine has a per-query
+// memory budget configured, the retained position list is charged against
+// it and the scan fails with ErrMemoryBudget when exceeded.
 func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -1274,9 +1164,6 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.chain.Validate(); err != nil {
-		return nil, err
-	}
 	if acct := s.eng.gov.NewAccountant(); acct != nil {
 		ctx = govern.WithAccountant(ctx, acct)
 	}
@@ -1285,83 +1172,41 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var progs []*jit.Program
-	deg := newDegradation()
-	build := func(ch scan.Chain) (scan.Kernel, error) {
-		if opts.Native {
-			return scan.NewNative(ch)
-		}
-		if !opts.UseFused {
-			return scan.NewSISD(ch)
-		}
-		k, p, err := s.eng.compiler.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			if sk, serr := scan.NewSISD(ch); serr == nil {
-				deg.record(err)
-				return sk, nil
-			}
-			return nil, err
-		}
-		if len(progs) == 0 {
-			progs = append(progs, p)
-		}
-		return k, nil
+	opts.Params = s.eng.params
+	leaf := &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}
+	phys, err := pqp.Translate(&lqp.Plan{Root: leaf, Table: s.tbl}, s.eng.compiler, opts)
+	if err != nil {
+		return nil, err
 	}
 
-	simulate := cfg.Simulate
+	out := &ScanResult{Degraded: phys.Degraded, DegradedReason: phys.DegradedReason}
+	acct := govern.AccountantFrom(ctx)
 	cpu := mach.New(s.eng.params)
-	var res scan.Result
-	var cstats scan.ChunkedStats
-	switch {
-	case s.chunkRows > 0:
-		res, cstats, err = scan.RunChunkedPruned(ctx, build, s.chain, s.chunkRows, cpu, true)
-		if err != nil {
-			return nil, err
+	qres, err := phys.RunTo(ctx, cpu, func(b pqp.Batch) error {
+		// The position list outlives each batch, so its growth is charged
+		// without release.
+		if err := acct.Charge(int64(len(b.Sel)) * 4); err != nil {
+			return err
 		}
-	case opts.Native || ctx.Done() != nil || govern.AccountantFrom(ctx) != nil:
-		// Cancellable, budgeted or native execution: chunk-at-a-time with a
-		// context check, memory accounting and zone-map pruning between
-		// chunks (same results as a whole-table pass). The native path is
-		// always chunked so it prunes and cancels by default.
-		res, cstats, err = scan.RunChunkedPruned(ctx, build, s.chain, cancellableChunkRows, cpu, true)
-		if err != nil {
-			return nil, err
+		for _, p := range b.Sel {
+			out.Positions = append(out.Positions, b.Base+p)
 		}
-	default:
-		kern, err := build(s.chain)
-		if err != nil {
-			return nil, err
-		}
-		res = kern.Run(cpu, true)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	degraded, reason := deg.state()
-	out := &ScanResult{
-		Count:          res.Count,
-		Positions:      res.Positions,
-		ChunksPruned:   cstats.ChunksPruned,
-		Encoding:       s.chain.Encoding(),
-		BytesScanned:   cstats.BytesScanned,
-		Degraded:       degraded,
-		DegradedReason: reason,
-	}
-	if cstats.Chunks == 0 {
-		// Whole-table (unchunked) pass: nothing was pruned, the chain's
-		// full extent was addressed.
-		out.BytesScanned = s.chain.ScanBytes()
-	}
+	st := phys.OperatorStats()[0]
+	out.Count = int(qres.Count)
+	out.ChunksPruned = int(st.ChunksPruned)
+	out.Encoding = st.Encoding
+	out.BytesScanned = st.BytesScanned
 	s.eng.bytesScanned.Add(out.BytesScanned)
-	if out.Encoding != "plain" {
+	if out.Encoding != pqp.EncodingPlain {
 		s.eng.packedScans.Add(1)
 	}
-	if simulate {
-		hits, _, cached := s.eng.compiler.Stats()
-		pr := perfReport(cpu.Finish().Report(&s.eng.params), progs, hits, cached)
-		out.Report = &pr
+	if cfg.Simulate {
+		out.Report = s.eng.simReport(cpu, phys)
 	}
 	return out, nil
 }
-
-// cancellableChunkRows is the horizontal partition size RunContext uses for
-// cancellable execution; cancellation latency is bounded by one chunk.
-const cancellableChunkRows = 1 << 16

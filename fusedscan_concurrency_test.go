@@ -51,13 +51,24 @@ func TestEngineConcurrentQueriesAndDDL(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d iter %d: ctx count = %d, want %d", g, i, res.Count, want)
 						return
 					}
-				case 2: // fluent scans, parallel execution
-					res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 4096)
+				case 2: // fluent scans, and parallel execution on a per-query config
+					sres, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 					if err != nil {
 						errs <- err
 						return
 					}
-					if res.Count != want {
+					if sres.Count != want {
+						errs <- fmt.Errorf("goroutine %d iter %d: scan count = %d, want %d", g, i, sres.Count, want)
+						return
+					}
+					cfg := DefaultConfig()
+					cfg.Cores, cfg.MorselRows = 4, 4096
+					res, err := eng.QueryWith(context.Background(), "SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2", QueryOptions{Config: &cfg})
+					if err != nil {
+						errs <- err
+						return
+					}
+					if res.Count != int64(want) {
 						errs <- fmt.Errorf("goroutine %d iter %d: parallel count = %d, want %d", g, i, res.Count, want)
 						return
 					}

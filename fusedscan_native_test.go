@@ -1,6 +1,9 @@
 package fusedscan
 
 import (
+	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,9 +17,11 @@ func buildClusteredEngine(t *testing.T) (*Engine, int) {
 	t.Helper()
 	const n = 1 << 20
 	av := make([]int32, n)
+	ids := make([]int32, n)
 	want := 0
 	for i := range av {
 		av[i] = int32(i / 1000) // sorted: chunk c covers [c*65, (c+1)*65] roughly
+		ids[i] = int32(i)
 		if av[i] == 1040 {
 			want++
 		}
@@ -24,6 +29,8 @@ func buildClusteredEngine(t *testing.T) (*Engine, int) {
 	eng := NewEngine()
 	tb := eng.CreateTable("clustered")
 	tb.Int32("a", av)
+	// id is the row id, so SQL can project the qualifying positions.
+	tb.Int32("id", ids)
 	if err := tb.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,38 +120,67 @@ func TestClusteredPruningEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScanAPIPruning checks the direct Scan API surfaces the prune count
-// and stays exact.
+// TestScanAPIPruning checks that pruning holds at every core count:
+// the clustered point query gives the same count, positions, prune count,
+// bytes and scan-leaf rows at Cores 1, 2 and 4, under both the simulated
+// and the native config, through SQL and through the direct Scan API.
 func TestScanAPIPruning(t *testing.T) {
 	eng, want := buildClusteredEngine(t)
-	res, err := eng.NewScan("clustered").Where("a", "=", "1040").Chunked(1 << 16).Run()
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		count     int
+		positions string
+		pruned    int64
+		bytes     int64
+		rowsIn    int64
 	}
-	if res.Count != want || len(res.Positions) != want {
-		t.Fatalf("count %d (positions %d), want %d", res.Count, len(res.Positions), want)
+	var ref *outcome
+	check := func(label string, got outcome) {
+		t.Helper()
+		if got.count != want || got.pruned < 15 {
+			t.Errorf("%s: count %d, pruned %d chunks, want %d and >= 15 of 16", label, got.count, got.pruned, want)
+		}
+		if ref == nil {
+			ref = &got
+		} else if got != *ref {
+			t.Errorf("%s: count %d pruned %d bytes %d rowsIn %d (same positions: %v), want %d %d %d %d",
+				label, got.count, got.pruned, got.bytes, got.rowsIn, got.positions == ref.positions,
+				ref.count, ref.pruned, ref.bytes, ref.rowsIn)
+		}
 	}
-	if res.ChunksPruned < 15 {
-		t.Errorf("pruned %d chunks, want >= 15 of 16", res.ChunksPruned)
-	}
+	for _, base := range []Config{DefaultConfig(), NativeConfig()} {
+		for _, cores := range []int{1, 2, 4} {
+			cfg := base
+			cfg.Cores = cores
+			label := fmt.Sprintf("simulate=%v cores=%d", cfg.Simulate, cores)
 
-	// Native config, same scan: same answer, no report.
-	if err := eng.SetConfig(NativeConfig()); err != nil {
-		t.Fatal(err)
-	}
-	nres, err := eng.NewScan("clustered").Where("a", "=", "1040").Chunked(1 << 16).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nres.Count != want || nres.ChunksPruned < 15 {
-		t.Fatalf("native: count %d pruned %d, want %d and >= 15", nres.Count, nres.ChunksPruned, want)
-	}
-	if nres.Report != nil {
-		t.Error("native scan produced a simulated report")
-	}
-	for i := range res.Positions {
-		if res.Positions[i] != nres.Positions[i] {
-			t.Fatalf("position %d differs: %d vs %d", i, res.Positions[i], nres.Positions[i])
+			res, err := eng.QueryWith(context.Background(), "SELECT id FROM clustered WHERE a = 1040", QueryOptions{Config: &cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, len(res.Rows))
+			for i, row := range res.Rows {
+				ids[i] = row[0]
+			}
+			leaf := scanStats(t, res)
+			check(label+" sql", outcome{int(res.Count), strings.Join(ids, ","), leaf.ChunksPruned, leaf.BytesScanned, leaf.RowsIn})
+
+			if err := eng.SetConfig(cfg); err != nil {
+				t.Fatal(err)
+			}
+			sres, err := eng.NewScan("clustered").Where("a", "=", "1040").Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (sres.Report != nil) != cfg.Simulate {
+				t.Errorf("%s scan: report %v, want one only when simulating", label, sres.Report)
+			}
+			pos := make([]string, len(sres.Positions))
+			for i, p := range sres.Positions {
+				pos[i] = strconv.Itoa(int(p))
+			}
+			// The direct API reports no operator stats, so only the SQL
+			// leg checks the scan leaf's RowsIn.
+			check(label+" scan", outcome{sres.Count, strings.Join(pos, ","), int64(sres.ChunksPruned), sres.BytesScanned, ref.rowsIn})
 		}
 	}
 }

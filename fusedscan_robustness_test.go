@@ -224,7 +224,12 @@ func TestRunParallelContextCancel(t *testing.T) {
 	eng := buildBigEngine(t, 100_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.NewScan("big").Where("x", "<", "500").RunParallelContext(ctx, 4, 10_000)
+	cfg := DefaultConfig()
+	cfg.Cores, cfg.MorselRows = 4, 10_000
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, err := eng.NewScan("big").Where("x", "<", "500").RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -235,15 +240,19 @@ func TestRunParallelDegradesOnCompileFailure(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	eng, want := buildTestEngine(t, 40000, 0.1, 0.5)
 
-	// Fail the first morsel's compile; the rest hit the operator cache or
-	// compile cleanly, so only the first morsel runs scalar.
+	cfg := DefaultConfig()
+	cfg.Cores, cfg.MorselRows = 4, 8000
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Fail the chain's compile: every morsel runs on the scalar kernel.
 	faultinject.Arm(faultinject.SiteJITCompile, 1, faultinject.ModeError)
-	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 8000)
+	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatalf("degraded parallel scan failed: %v", err)
 	}
 	if !res.Degraded {
-		t.Fatal("ParallelResult.Degraded not set")
+		t.Fatal("ScanResult.Degraded not set")
 	}
 	if res.Count != want {
 		t.Fatalf("degraded parallel count = %d, want %d", res.Count, want)

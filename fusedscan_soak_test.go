@@ -146,6 +146,9 @@ func TestSoakGovernedChaos(t *testing.T) {
 		firstBad.Do(func() { badMsg.Store(msg) })
 	}
 
+	parallelCfg := DefaultConfig()
+	parallelCfg.Cores, parallelCfg.MorselRows = 4, 4096
+
 	var wg sync.WaitGroup
 	perWorker := total / workers
 	for w := 0; w < workers; w++ {
@@ -154,17 +157,15 @@ func TestSoakGovernedChaos(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				q := mix[(w+i)%len(mix)]
-				// A slice of the load goes through the direct parallel-scan
-				// API instead of SQL, exercising its degradation path too.
+				// A slice of the load runs its scan on four morsel workers,
+				// exercising the parallel driver's degradation path too.
+				var res *Result
+				var err error
 				if (w+i)%17 == 0 {
-					_, err := eng.NewScan("tbl").Where("a", "=", "5").RunParallelContext(context.Background(), 4, 4096)
-					if err != nil && !typedSoakError(err) {
-						untyped.Add(1)
-						reportBad(fmt.Sprintf("parallel scan: untyped error %v (%T)", err, err))
-					}
-					continue
+					res, err = eng.QueryWith(context.Background(), q, QueryOptions{Config: &parallelCfg})
+				} else {
+					res, err = eng.Query(q)
 				}
-				res, err := eng.Query(q)
 				if err != nil {
 					failures.Add(1)
 					if !typedSoakError(err) {

@@ -403,7 +403,12 @@ func TestScanChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Chunked(7000).Run()
+	cfg := DefaultConfig()
+	cfg.MorselRows = 7000
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +420,9 @@ func TestScanChunked(t *testing.T) {
 			t.Fatalf("position %d differs: %d vs %d", i, whole.Positions[i], chunked.Positions[i])
 		}
 	}
-	if _, err := eng.NewScan("tbl").Where("a", "=", "5").Chunked(0).Run(); err == nil {
-		t.Error("chunk size 0 accepted")
+	cfg.MorselRows = -1
+	if err := eng.SetConfig(cfg); err == nil {
+		t.Error("negative morsel size accepted")
 	}
 }
 
@@ -471,7 +477,12 @@ func TestScanRunParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunParallel(4, 8000)
+	cfg := DefaultConfig()
+	cfg.Cores, cfg.MorselRows = 4, 8000
+	if err := eng.SetConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	par, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,11 +494,12 @@ func TestScanRunParallel(t *testing.T) {
 			t.Fatalf("position %d differs", i)
 		}
 	}
-	if par.Cores != 4 || par.RuntimeMs <= 0 {
-		t.Fatalf("parallel report: %+v", par)
+	if par.Report == nil || par.Report.RuntimeMs <= 0 || par.Report.RuntimeMs >= seq.Report.RuntimeMs {
+		t.Fatalf("parallel report %+v, want a modelled runtime below the sequential one", par.Report)
 	}
-	if _, err := eng.NewScan("tbl").Where("a", "=", "5").RunParallel(0, 100); err == nil {
-		t.Error("0 cores accepted")
+	cfg.Cores = -1
+	if err := eng.SetConfig(cfg); err == nil {
+		t.Error("negative core count accepted")
 	}
 }
 

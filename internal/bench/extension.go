@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -98,15 +99,10 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 		m := medianOver(cfg.reps(), cfg.Seed, func(seed int64) []float64 {
 			space := mach.NewAddrSpace()
 			ch := workload.Uniform(space, rows, 2, 0.5, seed)
-			rs, err := parallel.Scan(cfg.Params, ch, scan.ImplSISD.Build, c, morsel, false)
-			if err != nil {
-				panic(err)
+			return []float64{
+				parallelRuntimeMs(cfg.Params, ch, scan.ImplSISD.Build, c, morsel),
+				parallelRuntimeMs(cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel),
 			}
-			rf, err := parallel.Scan(cfg.Params, ch, scan.ImplAVX512Fused512.Build, c, morsel, false)
-			if err != nil {
-				panic(err)
-			}
-			return []float64{rs.RuntimeMs, rf.RuntimeMs}
 		})
 		res.SISDMs = append(res.SISDMs, m[0])
 		res.FusedMs = append(res.FusedMs, m[1])
@@ -125,4 +121,30 @@ func ExtensionParallel(cfg Config) ExtensionParallelResult {
 			c, res.SISDMs[i], res.SISDSpeedup[i], res.FusedMs[i], res.FusedSpeedup[i])
 	}
 	return res
+}
+
+// parallelRuntimeMs drives a count-only scan of ch through the morsel
+// driver on `cores` simulated cores and returns the shared-socket model's
+// runtime over the cores' counters.
+func parallelRuntimeMs(params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int) float64 {
+	cpu := mach.New(params)
+	s, err := parallel.NewStream(context.Background(), ch, build,
+		parallel.Options{Cores: cores, MorselRows: morselRows, CPU: cpu, Params: &params})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	for {
+		if _, err := s.Next(); err == parallel.EOS {
+			break
+		} else if err != nil {
+			panic(err)
+		}
+	}
+	perCore := s.PerCore()
+	if perCore == nil {
+		// One core ran every morsel inline on cpu.
+		perCore = []mach.Counters{cpu.Finish()}
+	}
+	return parallel.Combine(params, perCore).RuntimeMs
 }

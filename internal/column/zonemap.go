@@ -1,6 +1,7 @@
 package column
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -100,6 +101,20 @@ func buildZoneMap(c *Column, rowsPerZone int) *ZoneMap {
 		}
 		return zm
 	}
+	if c.packed == nil && c.nulls == nil && !c.typ.Float() {
+		// Plain integer fast path: unpacked lanes with no NULLs and no NaNs,
+		// so a zone's bounds are the min/max of its order-preserving keys
+		// (RawToKey), taken over the lane bytes with the width switch
+		// outside the row loop.
+		size := c.typ.Size()
+		for z := range zm.zones {
+			begin := z * rowsPerZone
+			end := min(begin+rowsPerZone, n)
+			lo, hi := keyRange(c.data[begin*size:end*size], size, RawToKey(c.typ, 0))
+			zm.zones[z] = Zone{Min: KeyToRaw(c.typ, lo), Max: KeyToRaw(c.typ, hi), HasCmp: true, HasValid: true}
+		}
+		return zm
+	}
 	for z := range zm.zones {
 		begin := z * rowsPerZone
 		end := begin + rowsPerZone
@@ -131,6 +146,36 @@ func buildZoneMap(c *Column, rowsPerZone int) *ZoneMap {
 		}
 	}
 	return zm
+}
+
+// keyRange returns the smallest and largest key over b's little-endian
+// lanes of size bytes, each lane's key being its bits XOR flip (the sign
+// bit for signed types). b holds at least one lane.
+func keyRange(b []byte, size int, flip uint64) (lo, hi uint64) {
+	lo = math.MaxUint64
+	switch size {
+	case 1:
+		for _, v := range b {
+			k := uint64(v) ^ flip
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	case 2:
+		for i := 0; i+2 <= len(b); i += 2 {
+			k := uint64(binary.LittleEndian.Uint16(b[i:])) ^ flip
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	case 4:
+		for i := 0; i+4 <= len(b); i += 4 {
+			k := uint64(binary.LittleEndian.Uint32(b[i:])) ^ flip
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	default:
+		for i := 0; i+8 <= len(b); i += 8 {
+			k := binary.LittleEndian.Uint64(b[i:]) ^ flip
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	return lo, hi
 }
 
 func isNaNRaw(t expr.Type, raw uint64) bool {

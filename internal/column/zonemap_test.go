@@ -172,3 +172,30 @@ func TestZoneMapNeverPrunesAMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestZoneMapIntegerFastPathMatchesGeneric: the NULL-free integer fast
+// path must build exactly the zones the row-by-row path builds. An
+// all-valid validity bitmap forces the row-by-row path over the same bits.
+func TestZoneMapIntegerFastPathMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	space := mach.NewAddrSpace()
+	for _, typ := range []expr.Type{expr.Int8, expr.Int16, expr.Int32, expr.Int64, expr.Uint8, expr.Uint16, expr.Uint32, expr.Uint64} {
+		n := 1 + rng.Intn(5000)
+		fast := New(space, "f", typ, n)
+		generic := New(space, "g", typ, n)
+		for i := 0; i < n; i++ {
+			bits := rng.Uint64()
+			fast.SetRaw(i, bits)
+			generic.SetRaw(i, bits)
+		}
+		generic.EnsureNulls()
+		for _, rows := range []int{1, 7, 64, 1000, n} {
+			fz, gz := buildZoneMap(fast, rows), buildZoneMap(generic, rows)
+			for z := range fz.zones {
+				if fz.zones[z] != gz.zones[z] {
+					t.Fatalf("%s n=%d rows=%d zone %d: fast %+v, generic %+v", typ, n, rows, z, fz.zones[z], gz.zones[z])
+				}
+			}
+		}
+	}
+}

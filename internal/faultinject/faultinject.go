@@ -62,8 +62,8 @@ const (
 	SiteKernelRun = "scan.kernel"
 	// SiteStorageLoad fails storage.LoadFile.
 	SiteStorageLoad = "storage.load"
-	// SiteParallelMorsel fails one morsel of a parallel scan (drives the
-	// errors.Join aggregation path).
+	// SiteParallelMorsel fails one morsel of a morsel-driven scan (drives
+	// the per-morsel failure and worker panic-recovery paths).
 	SiteParallelMorsel = "parallel.morsel"
 	// SiteGovernAdmit fails admission control (drives the typed
 	// ErrOverloaded load-shedding path without needing to saturate the

@@ -351,10 +351,10 @@ type Governor struct {
 
 	// Observed-behaviour state feeding RetryAfter hints and deadline
 	// budgets. drain is a ring of recent release timestamps.
-	drain     [32]time.Time
-	drainIdx  int
-	drainLen  int
-	estSvc    time.Duration // EWMA of observed service time
+	drain    [32]time.Time
+	drainIdx int
+	drainLen int
+	estSvc   time.Duration // EWMA of observed service time
 
 	admitted        atomic.Int64
 	rejected        atomic.Int64

@@ -1,21 +1,22 @@
-// Package parallel extends the single-core reproduction with morsel-driven
-// parallel scans, in the spirit of the morsel footnote the paper carries
-// over from Hyrise ("[the table] can, however, be horizontally partitioned
-// into chunks or morsels"). The paper's evaluation is single-core; this
-// package is an explicitly-labelled extension.
+// Package parallel is the engine's one morsel scan driver, in the spirit
+// of the morsel footnote the paper carries over from Hyrise ("[the table]
+// can, however, be horizontally partitioned into chunks or morsels"). The
+// paper's evaluation is single-core; multi-core execution is an
+// explicitly-labelled extension.
 //
-// Execution model: the table is split into fixed-size morsels; worker
-// goroutines — one per simulated core, each with its own mach.CPU (own
-// caches, own branch predictor) — pull morsels from a shared queue and run
-// the scan kernel over zero-copy column views. Functional results are
-// merged in morsel order, so they are identical to a sequential scan.
+// Execution model: the table is split into fixed-size morsels, zone maps
+// prune the morsels that provably hold no match, and the survivors run the
+// scan kernel over zero-copy column views. With one core every morsel runs
+// inline on the caller's mach.CPU; with more, worker goroutines — each
+// with its own mach.CPU (own caches, own branch predictor) when the
+// machine model is on — take the morsels round-robin. Results are
+// delivered in morsel order, so they are identical to a sequential scan.
 //
-// Failure model: a morsel whose kernel fails to build (or panics while
-// running) poisons only that morsel, not the process — workers recover
-// panics, every morsel error is collected, and ScanContext returns them
-// all joined with errors.Join. Context cancellation is checked between
-// morsels, so a cancelled scan stops within one morsel's worth of work
-// per core.
+// Failure model: a morsel whose kernel fails to build (or panics inside a
+// worker) poisons only that morsel, not the process — workers recover
+// panics into that morsel's error. Context cancellation is checked between
+// morsels, so a cancelled scan stops within one morsel's worth of work per
+// core.
 //
 // Performance model: per-core compute is independent, but all cores share
 // the socket's memory controllers. The combined report takes
@@ -28,86 +29,47 @@
 // StreamBandwidthGBs cores (~6.7 with the default calibration).
 package parallel
 
-import (
-	"context"
-	"errors"
+import "fusedscan/internal/mach"
 
-	"fusedscan/internal/mach"
-	"fusedscan/internal/scan"
-)
-
-// Result is the outcome of a parallel scan.
-type Result struct {
-	Count     int
-	Positions []uint32
-
-	// Cores is the number of workers used.
-	Cores int
-	// PerCore holds each worker's counters.
-	PerCore []mach.Counters
-	// RuntimeMs is the modelled parallel runtime (see package doc).
-	RuntimeMs float64
-	// ComputeMs is the slowest core's compute time.
-	ComputeMs float64
-	// MemMs is the shared-bandwidth memory time.
-	MemMs float64
-	// AggregateGBs is the bandwidth actually achieved.
+// CombinedModel is the multi-core performance model over per-core
+// counters (see the package comment for the formula).
+type CombinedModel struct {
+	RuntimeMs    float64
+	ComputeMs    float64
+	MemMs        float64
 	AggregateGBs float64
 }
 
-// Scan executes the chain with `cores` workers over morsels of morselRows
-// rows. build constructs a kernel per morsel (e.g. scan.Impl.Build).
-func Scan(params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
-	return ScanContext(context.Background(), params, ch, build, cores, morselRows, wantPositions)
-}
-
-// ScanContext is Scan with cooperative cancellation: workers check ctx
-// between morsels and stop early when it is cancelled, in which case
-// ctx.Err() is returned. All per-morsel failures (build errors and
-// recovered kernel panics) are aggregated with errors.Join rather than
-// keeping only the first.
-//
-// ScanContext is the drain-everything convenience over Stream: it pulls
-// every morsel, rebases positions to absolute row ids, and applies the
-// combined performance model. The batch pipeline (internal/pqp) consumes
-// Stream directly instead, morsel by morsel.
-func ScanContext(ctx context.Context, params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*Result, error) {
-	s, err := NewStream(ctx, params, ch, build, cores, morselRows, wantPositions)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-
-	out := &Result{Cores: cores}
-	var all []error
-	for {
-		m, err := s.Next()
-		if err == EOS {
-			break
+// Combine applies the shared-socket bandwidth model to per-core counters:
+// runtime is the slower of the slowest core's compute time and the total
+// DRAM traffic at min(N x per-core stream bandwidth, socket bandwidth).
+func Combine(params mach.Params, perCore []mach.Counters) CombinedModel {
+	var maxComputeCy float64
+	var totalLines uint64
+	for _, c := range perCore {
+		compute := c.ComputeCycles + c.ExposedLatencyCy
+		if compute > maxComputeCy {
+			maxComputeCy = compute
 		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			all = append(all, err)
-			continue
-		}
-		out.Count += m.Res.Count
-		if wantPositions {
-			for _, pos := range m.Res.Positions {
-				out.Positions = append(out.Positions, pos+uint32(m.Begin))
-			}
-		}
+		totalLines += c.DRAMLines()
 	}
-	if err := errors.Join(all...); err != nil {
-		return nil, err
+	aggBW := params.StreamBandwidthGBs * float64(len(perCore))
+	if aggBW > params.SocketBandwidthGBs {
+		aggBW = params.SocketBandwidthGBs
 	}
-
-	out.PerCore = s.PerCore()
-	model := Combine(params, out.PerCore)
-	out.ComputeMs = model.ComputeMs
-	out.MemMs = model.MemMs
-	out.RuntimeMs = model.RuntimeMs
-	out.AggregateGBs = model.AggregateGBs
-	return out, nil
+	bytesTotal := float64(totalLines) * float64(params.LineBytes)
+	memCycles := bytesTotal / (aggBW / params.ClockGHz)
+	runtimeCycles := maxComputeCy
+	if memCycles > runtimeCycles {
+		runtimeCycles = memCycles
+	}
+	m := CombinedModel{
+		ComputeMs: maxComputeCy / (params.ClockGHz * 1e6),
+		MemMs:     memCycles / (params.ClockGHz * 1e6),
+		RuntimeMs: runtimeCycles / (params.ClockGHz * 1e6),
+	}
+	if runtimeCycles > 0 {
+		m.AggregateGBs = bytesTotal / runtimeCycles * params.ClockGHz
+	}
+	return m
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,12 +31,53 @@ func makeChain(t *testing.T, n int, sel float64, seed int64) scan.Chain {
 	return ch
 }
 
+// scanResult is a drained stream: the merged count and absolute
+// positions, each core's counters and the shared-socket model over them.
+type scanResult struct {
+	CombinedModel
+	Count     int
+	Positions []uint32
+	PerCore   []mach.Counters
+}
+
+// runScan drains a simulated stream over ch into one result. A one-core
+// run charges a fresh inline CPU, reported as the single core.
+func runScan(ctx context.Context, params mach.Params, ch scan.Chain, build func(scan.Chain) (scan.Kernel, error), cores, morselRows int, wantPositions bool) (*scanResult, error) {
+	cpu := mach.New(params)
+	s, err := NewStream(ctx, ch, build, Options{
+		Cores: cores, MorselRows: morselRows, CPU: cpu, Params: &params, Positions: wantPositions,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	out := &scanResult{}
+	for {
+		m, err := s.Next()
+		if err == EOS {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Count += m.Res.Count
+		for _, p := range m.Res.Positions {
+			out.Positions = append(out.Positions, p+uint32(m.Begin))
+		}
+	}
+	if out.PerCore = s.PerCore(); out.PerCore == nil {
+		out.PerCore = []mach.Counters{cpu.Finish()}
+	}
+	out.CombinedModel = Combine(params, out.PerCore)
+	return out, nil
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
 	ch := makeChain(t, 100_000, 0.1, 1)
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, morsel := range []int{1000, 7777, 1_000_000} {
-			res, err := Scan(mach.Default(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			res, err := runScan(context.Background(), mach.Default(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +98,11 @@ func TestParallelComputeBoundScaling(t *testing.T) {
 	// (mispredictions), so doubling cores should roughly halve runtime.
 	ch := makeChain(t, 400_000, 0.5, 2)
 	p := mach.Default()
-	r1, err := Scan(p, ch, scan.ImplSISD.Build, 1, 50_000, false)
+	r1, err := runScan(context.Background(), p, ch, scan.ImplSISD.Build, 1, 50_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Scan(p, ch, scan.ImplSISD.Build, 4, 50_000, false)
+	r4, err := runScan(context.Background(), p, ch, scan.ImplSISD.Build, 4, 50_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +117,11 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 	// SocketBandwidth / per-core bandwidth (~6.7 cores by default).
 	ch := makeChain(t, 2_000_000, 0.0001, 3)
 	p := mach.Default()
-	r1, err := Scan(p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000, false)
+	r1, err := runScan(context.Background(), p, ch, scan.ImplAVX512Fused512.Build, 1, 100_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := Scan(p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000, false)
+	r16, err := runScan(context.Background(), p, ch, scan.ImplAVX512Fused512.Build, 16, 100_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,17 +141,20 @@ func TestParallelBandwidthSaturation(t *testing.T) {
 func TestParallelErrors(t *testing.T) {
 	ch := makeChain(t, 100, 0.5, 4)
 	p := mach.Default()
-	if _, err := Scan(p, ch, scan.ImplSISD.Build, 0, 10, false); err == nil {
-		t.Error("0 cores accepted")
+	// Zero cores means single-core: every morsel runs inline.
+	if res, err := runScan(context.Background(), p, ch, scan.ImplSISD.Build, 0, 10, false); err != nil {
+		t.Errorf("0 cores: %v", err)
+	} else if want := scan.Reference(ch, false); res.Count != want.Count {
+		t.Errorf("0 cores: count %d, want %d", res.Count, want.Count)
 	}
-	if _, err := Scan(p, ch, scan.ImplSISD.Build, 2, 0, false); err == nil {
+	if _, err := runScan(context.Background(), p, ch, scan.ImplSISD.Build, 2, 0, false); err == nil {
 		t.Error("0 morsel rows accepted")
 	}
-	if _, err := Scan(p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
+	if _, err := runScan(context.Background(), p, scan.Chain{}, scan.ImplSISD.Build, 2, 10, false); err == nil {
 		t.Error("empty chain accepted")
 	}
 	badBuild := func(scan.Chain) (scan.Kernel, error) { return nil, errBoom }
-	if _, err := Scan(p, ch, badBuild, 2, 10, false); err == nil {
+	if _, err := runScan(context.Background(), p, ch, badBuild, 2, 10, false); err == nil {
 		t.Error("builder error swallowed")
 	}
 }
@@ -122,7 +167,7 @@ var errBoom = boomErr{}
 
 func TestParallelPerCoreCounters(t *testing.T) {
 	ch := makeChain(t, 50_000, 0.1, 5)
-	res, err := Scan(mach.Default(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
+	res, err := runScan(context.Background(), mach.Default(), ch, scan.ImplAVX512Fused512.Build, 3, 5000, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,16 @@ func TestScanContextCancelledBeforeStart(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ScanContext(ctx, mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := runScan(ctx, mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestScanCollectsAllBuildErrors: a failed morsel poisons only itself —
+// Next reports each failure at its morsel's position and can be called
+// again for the rest, so every failure reaches a consumer that keeps
+// pulling.
 func TestScanCollectsAllBuildErrors(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 12)
 	calls := 0
@@ -34,14 +38,31 @@ func TestScanCollectsAllBuildErrors(t *testing.T) {
 		return scan.NewSISD(sub)
 	}
 	// 10 morsels on 1 core: build is called sequentially, failing on every
-	// even call — 5 distinct errors, all of which must survive aggregation.
-	_, err := Scan(mach.Default(), ch, build, 1, 1000, false)
-	if err == nil {
-		t.Fatal("expected joined build errors")
+	// even call — 5 distinct errors, each surfacing at its own morsel.
+	s, err := NewStream(context.Background(), ch, build, Options{MorselRows: 1000, CPU: mach.New(mach.Default())})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"build failure #2", "build failure #4", "build failure #10"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q:\n%v", want, err)
+	defer s.Close()
+	var failed []string
+	delivered := 0
+	for {
+		_, err := s.Next()
+		if err == EOS {
+			break
+		}
+		if err != nil {
+			failed = append(failed, err.Error())
+			continue
+		}
+		delivered++
+	}
+	if len(failed) != 5 || delivered != 5 {
+		t.Fatalf("failed %d, delivered %d morsels, want 5 and 5: %v", len(failed), delivered, failed)
+	}
+	for i, want := range []string{"build failure #2", "build failure #4", "build failure #10"} {
+		if got := failed[[]int{0, 1, 4}[i]]; !strings.Contains(got, want) {
+			t.Errorf("failure %q, want %q", got, want)
 		}
 	}
 }
@@ -55,7 +76,7 @@ func TestScanRecoversWorkerPanic(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := Scan(mach.Default(), ch, build, 2, 1000, false)
+	_, err := runScan(context.Background(), mach.Default(), ch, build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the panicking morsel")
 	}
@@ -70,7 +91,7 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 14)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 4, faultinject.ModeError)
-	_, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	_, err := runScan(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err == nil {
 		t.Fatal("expected injected morsel error")
 	}
@@ -85,7 +106,7 @@ func TestScanFaultInjectedMorselError(t *testing.T) {
 	// The same scan succeeds once disarmed.
 	faultinject.Reset()
 	want := scan.Reference(ch, false)
-	res, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
+	res, err := runScan(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +121,7 @@ func TestScanFaultInjectedMorselPanicIsRecovered(t *testing.T) {
 	ch := makeChain(t, 10_000, 0.1, 15)
 
 	faultinject.Arm(faultinject.SiteParallelMorsel, 1, faultinject.ModePanic)
-	_, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 4, 1000, false)
+	_, err := runScan(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 4, 1000, false)
 	if err == nil {
 		t.Fatal("expected an error from the injected panic")
 	}
@@ -120,7 +141,7 @@ func TestScanContextCancelStopsWorkers(t *testing.T) {
 		}
 		return scan.NewSISD(sub)
 	}
-	_, err := ScanContext(ctx, mach.Default(), ch, build, 1, 1000, false)
+	_, err := runScan(ctx, mach.Default(), ch, build, 1, 1000, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -13,7 +13,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 	want := scan.Reference(ch, true)
 	for _, cores := range []int{1, 2, 4} {
 		for _, morsel := range []int{999, 8192} {
-			s, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplAVX512Fused512.Build, cores, morsel, true)
+			s, err := NewStream(context.Background(), ch, scan.ImplAVX512Fused512.Build, simulated(cores, morsel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestStreamOrderedMergeMatchesReference(t *testing.T) {
 
 func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	ch := makeChain(t, 1_000_000, 0.5, 4)
-	s, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	s, err := NewStream(context.Background(), ch, scan.ImplSISD.Build, simulated(2, 10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 	// The workers must have stopped early: the rows they processed (visible
 	// in per-core scalar instruction counts) stay far below a full scan's.
 	var full, did uint64
-	fs, err := NewStream(context.Background(), mach.Default(), ch, scan.ImplSISD.Build, 2, 10_000, true)
+	fs, err := NewStream(context.Background(), ch, scan.ImplSISD.Build, simulated(2, 10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStreamEarlyCloseCancelsRemainingMorsels(t *testing.T) {
 func TestStreamContextCancellation(t *testing.T) {
 	ch := makeChain(t, 200_000, 0.5, 5)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewStream(ctx, mach.Default(), ch, scan.ImplSISD.Build, 2, 5_000, true)
+	s, err := NewStream(ctx, ch, scan.ImplSISD.Build, simulated(2, 5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,32 @@ func TestStreamContextCancellation(t *testing.T) {
 	s.Close()
 }
 
+// simulated is the Options of a simulated, position-producing stream.
+func simulated(cores, morselRows int) Options {
+	p := mach.Default()
+	return Options{Cores: cores, MorselRows: morselRows, CPU: mach.New(p), Params: &p, Positions: true}
+}
+
 func TestCombineMatchesScanContextModel(t *testing.T) {
 	ch := makeChain(t, 100_000, 0.1, 6)
-	res, err := Scan(mach.Default(), ch, scan.ImplSISD.Build, 4, 10_000, false)
+	p := mach.Default()
+	res, err := runScan(context.Background(), p, ch, scan.ImplSISD.Build, 4, 10_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Combine(mach.Default(), res.PerCore)
-	if m.RuntimeMs != res.RuntimeMs || m.ComputeMs != res.ComputeMs || m.MemMs != res.MemMs {
-		t.Errorf("Combine = %+v, ScanContext model = {%v %v %v}", m, res.RuntimeMs, res.ComputeMs, res.MemMs)
+	if len(res.PerCore) != 4 {
+		t.Fatalf("per-core counters: %d", len(res.PerCore))
+	}
+	// Runtime is the slower of the slowest core's compute and the shared
+	// memory time.
+	var maxCompute float64
+	for _, c := range res.PerCore {
+		maxCompute = max(maxCompute, (c.ComputeCycles+c.ExposedLatencyCy)/(p.ClockGHz*1e6))
+	}
+	if res.ComputeMs != maxCompute {
+		t.Errorf("ComputeMs = %v, slowest core %v", res.ComputeMs, maxCompute)
+	}
+	if res.RuntimeMs != max(res.ComputeMs, res.MemMs) || res.RuntimeMs <= 0 {
+		t.Errorf("model = %+v, want runtime = max(compute, mem) > 0", res.CombinedModel)
 	}
 }

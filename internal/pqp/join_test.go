@@ -134,13 +134,24 @@ func TestJoinGroupByAgainstOracle(t *testing.T) {
 		"native":      {Native: true, Width: DefaultOptions().Width, ISA: DefaultOptions().ISA},
 		"sisd":        {Width: DefaultOptions().Width, ISA: DefaultOptions().ISA},
 		"small-batch": func() Options { o := DefaultOptions(); o.BatchRows = 129; return o }(), // non-power-of-two batch boundaries
-		"parallel":    func() Options { o := DefaultOptions(); o.Cores = 3; o.MorselRows = 517; o.Params = mach.Default(); return o }(),
+		"parallel": func() Options {
+			o := DefaultOptions()
+			o.Cores = 3
+			o.MorselRows = 517
+			o.Params = mach.Default()
+			return o
+		}(),
 	}
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {
-			res, _ := runPlan(t, plan(t, cat, joinGroupSQL, true), opts)
+			res, pp := runPlan(t, plan(t, cat, joinGroupSQL, true), opts)
 			if len(res.Columns) != 2 || res.Columns[0] != "f.x" || res.Columns[1] != "sum(d.y)" {
 				t.Fatalf("columns = %v", res.Columns)
+			}
+			// Both scan leaves — the build side's and the probe's — ran on
+			// opts.Cores workers, and the report must count all of them.
+			if wantCores := 2 * opts.Cores; opts.Cores > 1 && len(pp.PerCore()) != wantCores {
+				t.Errorf("PerCore() = %d counters, want %d", len(pp.PerCore()), wantCores)
 			}
 			if len(res.Rows) != len(wantKeys) {
 				t.Fatalf("groups = %d, want %d (rows: %v)", len(res.Rows), len(wantKeys), res.Rows)

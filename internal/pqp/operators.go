@@ -126,98 +126,68 @@ func (op *fullScanOp) Close() error {
 	return nil
 }
 
-// scanOp evaluates a predicate chain with a kernel pass per chunk window
-// (fused or scalar short-circuit), emitting each chunk's chunk-relative
-// position list as one batch — the kernel's register-resident position
-// lists feed the pipeline directly, never widening into a whole-table
-// position list. With Cores > 1 the chunks become morsels produced by
-// parallel workers (each with its own simulated CPU) and merged in morsel
-// order, so downstream operators consume an identical ordered stream.
+// scanOp evaluates a predicate chain through the morsel driver
+// (internal/parallel): a kernel pass per unpruned morsel, each morsel's
+// morsel-relative position list emitted as one batch — the kernel's
+// register-resident position lists feed the pipeline directly, never
+// widening into a whole-table position list. With Cores > 1 the morsels
+// are produced by parallel workers and merged in morsel order, so
+// downstream operators consume an identical ordered stream.
 type scanOp struct {
-	tbl       *column.Table
-	chain     scan.Chain
-	kernel    scan.Kernel
-	build     func(scan.Chain) (scan.Kernel, error)
-	name      string
-	batchRows int
+	tbl   *column.Table
+	chain scan.Chain
+	kern  kernelFamily
 	// stopAfter, when > 0, is the optimizer's LIMIT pushdown hint: stop
 	// producing once this many matches have been emitted (rounded up to a
 	// batch boundary).
 	stopAfter int
-	// cores/morselRows/params configure parallel batch production.
+	// cores/morselRows configure the driver; params, when non-nil, is the
+	// calibration for parallel workers' simulated CPUs.
 	cores      int
 	morselRows int
-	params     mach.Params
+	params     *mach.Params
 	countOnly  bool
-	// path labels the execution path for operator stats (PathNative etc.).
-	path string
 	// estSel is the optimizer's selectivity estimate for the whole chain,
-	// used to pre-size per-chunk position lists (0 = no estimate).
+	// used to pre-size per-morsel position lists (0 = no estimate).
 	estSel float64
 
 	ctx     context.Context
-	cpu     *mach.CPU
-	cursor  int
 	emitted int
 	stream  *parallel.Stream
 	perCore []mach.Counters
 	charger batchCharger
-	// pruner skips chunks the columns' zone maps prove empty (single-core
-	// path; the parallel morsel stream does not prune yet). pruned counts
-	// the skipped chunks.
-	pruner *scan.Pruner
-	pruned int64
-	// bytes totals the stored value bytes the chain's predicate columns
-	// covered across non-pruned windows (OperatorStats.BytesScanned).
-	bytes int64
-	stats opStats
+	stats   opStats
 }
 
-func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.name, op.tbl.Name()) }
+func (op *scanOp) Describe() string { return fmt.Sprintf("%s on %s", op.kern.name, op.tbl.Name()) }
 
 func (op *scanOp) Stats() OperatorStats {
 	st := op.stats.snapshot(op.Describe())
-	st.ChunksPruned = op.pruned
-	st.Path = op.path
-	st.Encoding = chainEncoding(op.chain)
-	st.BytesScanned = op.bytes
+	st.Path = op.kern.path
+	st.Encoding = op.chain.Encoding()
+	if op.stream != nil {
+		st.ChunksPruned = int64(op.stream.Pruned())
+		st.BytesScanned = op.stream.BytesScanned()
+	}
 	return st
 }
-
-// chainEncoding labels the storage encoding of a chain's predicate
-// columns for operator stats (scan.Chain.Encoding matches the
-// EncodingPlain/EncodingPacked/EncodingMixed labels).
-func chainEncoding(ch scan.Chain) string { return ch.Encoding() }
-
-// chainScanBytes totals the stored value bytes a full pass over the
-// chain's predicate column views touches (packed word spans, plain lanes).
-func chainScanBytes(ch scan.Chain) int64 { return ch.ScanBytes() }
 
 func (op *scanOp) setCountOnly(v bool) { op.countOnly = v }
 
 func (op *scanOp) Open(ctx context.Context, cpu *mach.CPU) error {
-	op.ctx, op.cpu = ctx, cpu
-	op.cursor, op.emitted = 0, 0
-	op.pruned, op.bytes = 0, 0
+	op.ctx = ctx
+	op.emitted = 0
+	op.perCore = nil
 	op.charger = batchCharger{acct: govern.AccountantFrom(ctx)}
-	if op.cores <= 1 {
-		// Zone maps are built lazily per column and cached, so the first
-		// query over a table pays one stats pass per predicate column and
-		// later queries prune for free.
-		op.pruner = scan.NewPruner(op.chain, op.batchRows)
+	st, err := parallel.NewStream(ctx, op.chain, op.kern.build, parallel.Options{
+		Cores: op.cores, MorselRows: op.morselRows, CPU: cpu, Params: op.params,
+		Positions: !op.countOnly, EstSel: op.estSel,
+	})
+	if err != nil {
+		return err
 	}
-	if op.cores > 1 {
-		morselRows := op.morselRows
-		if morselRows <= 0 {
-			morselRows = op.batchRows
-		}
-		st, err := parallel.NewStream(ctx, op.params, op.chain, op.build, op.cores, morselRows, !op.countOnly)
-		if err != nil {
-			return err
-		}
-		op.stream = st
-	}
-	return ctx.Err()
+	op.stream = st
+	return nil
 }
 
 func (op *scanOp) Next() (Batch, error) {
@@ -228,58 +198,16 @@ func (op *scanOp) Next() (Batch, error) {
 	if err := op.ctx.Err(); err != nil {
 		return Batch{}, err
 	}
-	var b Batch
-	if op.stream != nil {
-		m, err := op.stream.Next()
-		if err == parallel.EOS {
-			op.perCore = op.stream.PerCore()
-			return Batch{}, EOS
-		}
-		if err != nil {
-			return Batch{}, err
-		}
-		op.stats.noteScanned(m.Rows)
-		op.bytes += chainScanBytes(op.chain.Slice(m.Begin, m.Begin+m.Rows))
-		b = Batch{Base: uint32(m.Begin), Sel: m.Res.Positions, Count: m.Res.Count}
-	} else {
-		n := op.chain.Rows()
-		for {
-			if op.cursor >= n {
-				return Batch{}, EOS
-			}
-			begin := op.cursor
-			end := begin + op.batchRows
-			if end > n {
-				end = n
-			}
-			op.cursor = end
-			if op.pruner.Prune(begin, end) {
-				// Zone maps prove this chunk empty: skip it without touching
-				// its bytes. Pruned rows do not count as scanned.
-				op.pruned++
-				continue
-			}
-			op.stats.noteScanned(end - begin)
-			sub := op.chain.Slice(begin, end)
-			op.bytes += chainScanBytes(sub)
-			kern, err := op.build(sub)
-			if err != nil {
-				return Batch{}, fmt.Errorf("pqp: scan chunk [%d, %d): %w", begin, end, err)
-			}
-			if !op.countOnly && op.estSel > 0 {
-				if sh, ok := kern.(scan.SizeHinter); ok {
-					hint := int(op.estSel*float64(end-begin)) + 16
-					if hint > end-begin {
-						hint = end - begin
-					}
-					sh.SetSizeHint(hint)
-				}
-			}
-			res := kern.Run(op.cpu, !op.countOnly)
-			b = Batch{Base: uint32(begin), Sel: res.Positions, Count: res.Count}
-			break
-		}
+	m, err := op.stream.Next()
+	if err == parallel.EOS {
+		op.perCore = op.stream.PerCore()
+		return Batch{}, EOS
 	}
+	if err != nil {
+		return Batch{}, err
+	}
+	op.stats.noteScanned(m.Rows)
+	b := Batch{Base: uint32(m.Begin), Sel: m.Res.Positions, Count: m.Res.Count}
 	if err := op.charger.swap(int64(len(b.Sel)) * bytesPerPosition); err != nil {
 		return Batch{}, err
 	}
@@ -303,7 +231,7 @@ func (op *scanOp) Close() error {
 }
 
 // perCoreCounters exposes the parallel workers' counters to the plan-level
-// report (nil for single-core execution).
+// report (nil for single-core or native execution).
 func (op *scanOp) perCoreCounters() []mach.Counters { return op.perCore }
 
 // filterOp applies one predicate to incoming position batches — the

@@ -46,12 +46,12 @@ type Options struct {
 	// ISA is the instruction-set dialect for fused operators.
 	ISA vec.ISA
 	// Cores > 1 turns predicate-chain scans into morsel-driven parallel
-	// batch producers (see internal/parallel); each worker gets its own
-	// simulated CPU built from Params. Downstream operators still consume
-	// one ordered stream.
+	// batch producers (see internal/parallel); when simulating, each
+	// worker gets its own simulated CPU built from Params. Downstream
+	// operators still consume one ordered stream.
 	Cores int
-	// MorselRows is the morsel size for parallel scans; defaults to
-	// BatchRows.
+	// MorselRows is the morsel size of predicate-chain scans at any core
+	// count; defaults to BatchRows.
 	MorselRows int
 	// Params is the machine calibration for parallel workers' CPUs.
 	Params mach.Params
@@ -221,21 +221,28 @@ func (p *Plan) OperatorStats() []OperatorStats {
 	return out
 }
 
-// PerCore returns the parallel scan workers' counters after a run with
-// Options.Cores > 1 (nil when the plan ran single-core).
+// PerCore returns the parallel scan workers' counters after a simulated
+// run with Options.Cores > 1 — every scan leaf's workers, a join's build
+// side included, concatenated in plan pre-order (nil when the plan ran
+// single-core or native).
 func (p *Plan) PerCore() []mach.Counters {
-	op := p.Root
-	for op != nil {
+	var out []mach.Counters
+	var walk func(op Operator)
+	walk = func(op Operator) {
 		if pc, ok := op.(interface{ perCoreCounters() []mach.Counters }); ok {
-			return pc.perCoreCounters()
+			out = append(out, pc.perCoreCounters()...)
 		}
-		c, ok := op.(interface{ child() Operator })
-		if !ok || c.child() == nil {
-			break
+		if b, ok := op.(buildChilder); ok && b.buildChild() != nil {
+			walk(b.buildChild())
 		}
-		op = c.child()
+		if c, ok := op.(interface{ child() Operator }); ok && c.child() != nil {
+			walk(c.child())
+		}
 	}
-	return nil
+	if p.Root != nil {
+		walk(p.Root)
+	}
+	return out
 }
 
 // Drive is the thin driver at the top of the pipeline: it opens the root,
@@ -316,61 +323,14 @@ func translateNode(n lqp.Node, tbl *column.Table, comp *jit.Compiler, opts Optio
 		return &emptyOp{reason: t.Reason}, nil
 
 	case *lqp.FusedChain:
-		if _, ok := t.Input.(*lqp.StoredTable); !ok {
-			return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", t.Input)
-		}
 		ch, err := buildChain(tbl, t.Preds)
 		if err != nil {
 			return nil, err
 		}
-		mk := func(kern scan.Kernel, build func(scan.Chain) (scan.Kernel, error), name, path string) *scanOp {
-			return &scanOp{
-				tbl: tbl, chain: ch, kernel: kern, build: build, name: name,
-				path: path, estSel: t.EstSel,
-				batchRows: opts.batchRows(), stopAfter: t.StopAfter,
-				cores: opts.Cores, morselRows: opts.MorselRows, params: opts.Params,
-			}
-		}
-		if opts.Native {
-			kern, err := scan.NewNative(ch)
-			if err != nil {
-				return nil, err
-			}
-			nativeBuild := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) }
-			p.NativeScans++
-			return mk(kern, nativeBuild, "NativeTableScan(SWAR)", PathNative), nil
-		}
-		sisdBuild := func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) }
-		if !opts.UseFused {
-			kern, err := scan.NewSISD(ch)
-			if err != nil {
-				return nil, err
-			}
-			return mk(kern, sisdBuild, "TableScan(SISD)", PathScalar), nil
-		}
-		kern, prog, err := comp.CompileChain(ch, opts.Width, opts.ISA)
-		if err != nil {
-			// Graceful degradation: a failed compile (or bind) falls back to
-			// the scalar short-circuit scan — same results, slower — instead
-			// of failing the query. Only a chain the SISD kernel also rejects
-			// (i.e. an invalid chain) surfaces the original error.
-			skern, serr := scan.NewSISD(ch)
-			if serr != nil {
-				return nil, err
-			}
-			p.Degraded = true
-			p.DegradedReason = fmt.Sprintf("jit unavailable, using scalar scan: %v", err)
-			return mk(skern, sisdBuild, "TableScan(SISD, degraded)", PathScalarFallback), nil
-		}
-		p.Programs = append(p.Programs, prog)
-		fusedBuild := func(sub scan.Chain) (scan.Kernel, error) {
-			k, _, err := comp.CompileChain(sub, opts.Width, opts.ISA)
-			return k, err
-		}
-		return mk(kern, fusedBuild, fmt.Sprintf("FusedTableScan[%s]", prog.Sig.Key()), PathEmulated), nil
+		return newScanLeaf(t, tbl, ch, comp, opts, p)
 
 	case *lqp.IndexScan:
-		return translateIndexScan(t, tbl, comp, opts, p)
+		return translateIndexScan(t, tbl, opts, p)
 
 	case *lqp.Join:
 		return translateJoin(t, tbl, comp, opts, p)
@@ -541,51 +501,91 @@ func hasEmptyResult(n lqp.Node) bool {
 	return false
 }
 
-// joinKernels picks the kernel family for probe scans and residual chains
-// under a join. The JIT compile cache is bypassed on purpose: the probe
-// chain is mutated at Open time (Bloom injection) and residual chains are
-// built per batch over transient pair columns, so a cached program could
-// never be reused — the direct constructors fuse the chain the same way
-// without the compile round-trip.
-func joinKernels(opts Options) (build func(scan.Chain) (scan.Kernel, error), name, path string) {
-	switch {
-	case opts.Native:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) },
-			"NativeTableScan(SWAR)", PathNative
-	case opts.UseFused:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewFused(sub, opts.Width, opts.ISA) },
-			"FusedTableScan(direct)", PathEmulated
-	default:
-		return func(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) },
-			"TableScan(SISD)", PathScalar
-	}
+// kernelFamily is a scan's per-morsel (or per-window) kernel constructor
+// with its EXPLAIN label and execution-path tag.
+type kernelFamily struct {
+	build func(scan.Chain) (scan.Kernel, error)
+	name  string
+	path  string
 }
 
-// translateJoinScan lowers a probe-side predicate chain under a join,
-// using the join kernel family so the chain stays mutable (Bloom
-// injection) while still fusing the comparisons.
-func translateJoinScan(fc *lqp.FusedChain, tbl *column.Table, opts Options, p *Plan) (*scanOp, error) {
+// pickKernels is the one kernel-selection point: native SWAR kernels when
+// the machine model is off, the scalar SISD scan when fusion is off, and
+// otherwise the fused kernel. A non-nil comp serves static chains from the
+// JIT program cache; nil selects the direct scan.NewFused constructor for
+// chains the cache could never reuse — a join probe mutated at Open time
+// (Bloom injection), per-window index residuals and per-batch join
+// residuals.
+//
+// A non-empty ch is probed once (compiled, for the JIT family): a chain
+// the chosen family cannot build falls back to the scalar scan — same
+// results, slower — and marks the plan Degraded instead of failing the
+// query (graceful degradation). Only a chain SISD rejects too surfaces the
+// original error. A join's residual evaluator passes a nil ch and p: its
+// chain exists only at run time, and it is not a scan leaf of the plan.
+func pickKernels(ch scan.Chain, comp *jit.Compiler, opts Options, p *Plan) (kernelFamily, error) {
+	var f kernelFamily
+	var err error
+	switch {
+	case opts.Native:
+		f = kernelFamily{func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) },
+			"NativeTableScan(SWAR)", PathNative}
+	case !opts.UseFused:
+		f = kernelFamily{sisdKernel, "TableScan(SISD)", PathScalar}
+	case comp != nil:
+		var prog *jit.Program
+		if _, prog, err = comp.CompileChain(ch, opts.Width, opts.ISA); err == nil {
+			p.Programs = append(p.Programs, prog)
+			f = kernelFamily{func(sub scan.Chain) (scan.Kernel, error) {
+				k, _, err := comp.CompileChain(sub, opts.Width, opts.ISA)
+				return k, err
+			}, fmt.Sprintf("FusedTableScan[%s]", prog.Sig.Key()), PathEmulated}
+		}
+	default:
+		f = kernelFamily{func(sub scan.Chain) (scan.Kernel, error) { return scan.NewFused(sub, opts.Width, opts.ISA) },
+			"FusedTableScan(direct)", PathEmulated}
+	}
+	if err == nil && comp == nil && len(ch) > 0 {
+		_, err = f.build(ch)
+	}
+	if err != nil {
+		if _, serr := scan.NewSISD(ch); serr != nil {
+			return kernelFamily{}, err
+		}
+		p.Degraded = true
+		p.DegradedReason = fmt.Sprintf("kernel unavailable, using scalar scan: %v", err)
+		return kernelFamily{sisdKernel, "TableScan(SISD, degraded)", PathScalarFallback}, nil
+	}
+	if opts.Native && p != nil {
+		p.NativeScans++
+	}
+	return f, nil
+}
+
+func sisdKernel(sub scan.Chain) (scan.Kernel, error) { return scan.NewSISD(sub) }
+
+// newScanLeaf lowers a fused chain over a stored table to the scan leaf
+// that drives it morsel by morsel. comp is nil for a join's probe chain,
+// which stays mutable for Bloom injection.
+func newScanLeaf(fc *lqp.FusedChain, tbl *column.Table, ch scan.Chain, comp *jit.Compiler, opts Options, p *Plan) (*scanOp, error) {
 	if _, ok := fc.Input.(*lqp.StoredTable); !ok {
 		return nil, fmt.Errorf("pqp: fused chain must sit directly on a stored table, found %T", fc.Input)
 	}
-	ch, err := buildChain(tbl, fc.Preds)
+	kern, err := pickKernels(ch, comp, opts, p)
 	if err != nil {
 		return nil, err
 	}
-	build, name, path := joinKernels(opts)
-	kern, err := build(ch)
-	if err != nil {
-		return nil, err
+	op := &scanOp{
+		tbl: tbl, chain: ch, kern: kern, estSel: fc.EstSel, stopAfter: fc.StopAfter,
+		cores: opts.Cores, morselRows: opts.MorselRows,
 	}
-	if opts.Native {
-		p.NativeScans++
+	if op.morselRows <= 0 {
+		op.morselRows = opts.batchRows()
 	}
-	return &scanOp{
-		tbl: tbl, chain: ch, kernel: kern, build: build, name: name,
-		path: path, estSel: fc.EstSel,
-		batchRows: opts.batchRows(), stopAfter: fc.StopAfter,
-		cores: opts.Cores, morselRows: opts.MorselRows, params: opts.Params,
-	}, nil
+	if !opts.Native {
+		op.params = &opts.Params
+	}
+	return op, nil
 }
 
 // translateJoin lowers a Join node: the build side translates against the
@@ -603,8 +603,11 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 	var probeOp Operator
 	var probeScan *scanOp
 	if fc, ok := t.Input.(*lqp.FusedChain); ok {
-		probeScan, err = translateJoinScan(fc, tbl, opts, p)
-		probeOp = probeScan
+		var ch scan.Chain
+		if ch, err = buildChain(tbl, fc.Preds); err == nil {
+			probeScan, err = newScanLeaf(fc, tbl, ch, nil, opts, p)
+			probeOp = probeScan
+		}
 	} else {
 		probeOp, err = translateNode(t.Input, tbl, comp, opts, p)
 	}
@@ -635,7 +638,10 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		}
 		residuals = append(residuals, joinResidual{probeCol: pc, buildCol: bc, op: r.Op})
 	}
-	kb, _, _ := joinKernels(opts)
+	residualKernels, err := pickKernels(nil, nil, opts, nil)
+	if err != nil {
+		return nil, err
+	}
 	label := t.KeyLabel
 	for _, r := range t.Residuals {
 		label += " AND " + r.Label
@@ -644,7 +650,7 @@ func translateJoin(t *lqp.Join, tbl *column.Table, comp *jit.Compiler, opts Opti
 		probe: psrc, build: bsrc, probeScan: probeScan,
 		probeKey: probeKey, buildKey: buildKey, keyType: t.KeyType,
 		residuals: residuals, transfer: t.Transfer,
-		kernBuild: kb, space: tbl.Space(), label: label,
+		kernBuild: residualKernels.build, space: tbl.Space(), label: label,
 	}, nil
 }
 

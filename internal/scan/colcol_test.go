@@ -128,12 +128,12 @@ func TestDifferentialColVsCol(t *testing.T) {
 
 		// Chunked execution slices both sides of every col-vs-col pred.
 		chunk := 1 + rng.Intn(n+10)
-		got, err := RunChunked(func(sub Chain) (Kernel, error) { return NewNative(sub) },
+		got, err := runMorsels(func(sub Chain) (Kernel, error) { return NewNative(sub) },
 			ch, chunk, nil, true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}
-		if !equalResults(got, want) {
+		if !equalResults(got.Result, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}
 	}

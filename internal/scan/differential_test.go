@@ -129,11 +129,11 @@ func TestDifferentialAllImplementations(t *testing.T) {
 
 		// Chunked execution with a random chunk size.
 		chunk := 1 + rng.Intn(n+10)
-		got, err := RunChunked(ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
+		got, err := runMorsels(ImplAVX512Fused512.Build, ch, chunk, mach.New(mach.Default()), true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}
-		if !equalResults(got, want) {
+		if !equalResults(got.Result, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}
 	}

@@ -23,6 +23,15 @@ type SizeHinter interface {
 	SetSizeHint(rows int)
 }
 
+// HintSize pre-sizes kern's position list for a pass over rows rows at the
+// estimated selectivity estSel; a no-op without an estimate or for kernels
+// that are no SizeHinter.
+func HintSize(kern Kernel, estSel float64, rows int) {
+	if sh, ok := kern.(SizeHinter); ok && estSel > 0 {
+		sh.SetSizeHint(min(int(estSel*float64(rows))+16, rows))
+	}
+}
+
 // Impl names a benchmark configuration (the legend entries of Figures 4-7).
 type Impl uint8
 

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -90,16 +89,16 @@ func TestDifferentialNative(t *testing.T) {
 		// proof, and skipped plus executed chunks must cover the table.
 		chunk := 1 + rng.Intn(n+10)
 		build := func(sub Chain) (Kernel, error) { return NewNative(sub) }
-		got, stats, err := RunChunkedPruned(context.Background(), build, ch, chunk, nil, true)
+		got, err := runMorsels(build, ch, chunk, nil, true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}
-		if !equalResults(got, want) {
+		if !equalResults(got.Result, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d (pruned %d/%d)",
-				desc(), chunk, got.Count, want.Count, stats.ChunksPruned, stats.Chunks)
+				desc(), chunk, got.Count, want.Count, got.Pruned, got.Morsels)
 		}
-		if wantChunks := (n + chunk - 1) / chunk; stats.Chunks != wantChunks {
-			t.Fatalf("%s chunked(%d): %d chunks, want %d", desc(), chunk, stats.Chunks, wantChunks)
+		if wantChunks := (n + chunk - 1) / chunk; got.Morsels != wantChunks {
+			t.Fatalf("%s chunked(%d): %d chunks, want %d", desc(), chunk, got.Morsels, wantChunks)
 		}
 	}
 }
@@ -122,19 +121,19 @@ func TestNativePrunesClusteredData(t *testing.T) {
 
 	want := Reference(ch, true)
 	build := func(sub Chain) (Kernel, error) { return NewNative(sub) }
-	got, stats, err := RunChunkedPruned(context.Background(), build, ch, chunk, nil, true)
+	got, err := runMorsels(build, ch, chunk, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalResults(got, want) {
+	if !equalResults(got.Result, want) {
 		t.Fatalf("count %d, want %d", got.Count, want.Count)
 	}
-	if stats.Chunks != n/chunk {
-		t.Fatalf("chunks = %d, want %d", stats.Chunks, n/chunk)
+	if got.Morsels != n/chunk {
+		t.Fatalf("chunks = %d, want %d", got.Morsels, n/chunk)
 	}
-	if pruned := float64(stats.ChunksPruned) / float64(stats.Chunks); pruned < 0.9 {
+	if pruned := float64(got.Pruned) / float64(got.Morsels); pruned < 0.9 {
 		t.Fatalf("pruned %d of %d chunks (%.0f%%), want >= 90%%",
-			stats.ChunksPruned, stats.Chunks, 100*pruned)
+			got.Pruned, got.Morsels, 100*pruned)
 	}
 }
 

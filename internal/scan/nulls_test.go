@@ -74,11 +74,11 @@ func TestNullableChainAllImplementations(t *testing.T) {
 			t.Fatalf("block n=%d: count %d, want %d", n, got.Count, want.Count)
 		}
 		// Chunked over views shares the parent's bitmap.
-		got, err := RunChunked(ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
+		got, err := runMorsels(ImplAVX512Fused512.Build, ch, 97, mach.New(mach.Default()), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalResults(got, want) {
+		if !equalResults(got.Result, want) {
 			t.Fatalf("chunked n=%d: count %d, want %d", n, got.Count, want.Count)
 		}
 	}

@@ -206,11 +206,11 @@ func TestPackedDifferential(t *testing.T) {
 
 		// Chunked execution across packed-chunk boundaries.
 		chunk := 1 + rng.Intn(end-begin+10)
-		got, err := RunChunked(func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
+		got, err := runMorsels(func(ch Chain) (Kernel, error) { return NewNative(ch) }, packedCh, chunk, nil, true)
 		if err != nil {
 			t.Fatalf("%s chunked: %v", desc(), err)
 		}
-		if !equalResults(got, want) {
+		if !equalResults(got.Result, want) {
 			t.Fatalf("%s chunked(%d): count %d, want %d", desc(), chunk, got.Count, want.Count)
 		}
 	}

@@ -1,13 +1,8 @@
 package scan
 
 import (
-	"context"
-	"fmt"
-
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
-	"fusedscan/internal/govern"
-	"fusedscan/internal/mach"
 )
 
 // Pruner decides whether a chunk of rows can be skipped entirely because
@@ -60,74 +55,4 @@ func (pr *Pruner) Prune(begin, end int) bool {
 		}
 	}
 	return false
-}
-
-// ChunkedStats reports how chunked execution went: how many chunks the
-// table split into and how many were skipped by zone-map pruning.
-type ChunkedStats struct {
-	Chunks       int
-	ChunksPruned int
-	// BytesScanned totals the stored value bytes of the non-pruned
-	// chunks' predicate columns (packed word spans, plain lanes) — what
-	// the scan actually addressed after zone-map skipping.
-	BytesScanned int64
-}
-
-// RunChunkedPruned is RunChunkedContext plus zone-map data skipping: a
-// Pruner at chunkRows granularity is consulted before building each
-// chunk's kernel, and chunks proven empty are skipped without touching
-// their column bytes. Results are identical to RunChunkedContext (pruning
-// is a proof, never a heuristic); the returned ChunkedStats reports the
-// skip count for operator stats and regression tests.
-func RunChunkedPruned(ctx context.Context, build func(Chain) (Kernel, error), ch Chain, chunkRows int, cpu *mach.CPU, wantPositions bool) (Result, ChunkedStats, error) {
-	var stats ChunkedStats
-	if err := ch.Validate(); err != nil {
-		return Result{}, stats, err
-	}
-	if chunkRows <= 0 {
-		return Result{}, stats, fmt.Errorf("scan: chunkRows must be positive, got %d", chunkRows)
-	}
-	pruner := NewPruner(ch, chunkRows)
-	acct := govern.AccountantFrom(ctx)
-	n := ch.Rows()
-	var total Result
-	for begin := 0; begin < n; begin += chunkRows {
-		if err := ctx.Err(); err != nil {
-			return Result{}, stats, err
-		}
-		end := begin + chunkRows
-		if end > n {
-			end = n
-		}
-		stats.Chunks++
-		if pruner.Prune(begin, end) {
-			stats.ChunksPruned++
-			continue
-		}
-		sub := make(Chain, len(ch))
-		for i, p := range ch {
-			sp := Pred{Col: p.Col.Slice(begin, end), Kind: p.Kind, Op: p.Op, Value: p.Value,
-				Bloom: p.Bloom, Stats: p.Stats}
-			if p.Col2 != nil {
-				sp.Col2 = p.Col2.Slice(begin, end)
-			}
-			sub[i] = sp
-		}
-		stats.BytesScanned += sub.ScanBytes()
-		kern, err := build(sub)
-		if err != nil {
-			return Result{}, stats, fmt.Errorf("scan: chunk [%d, %d): %w", begin, end, err)
-		}
-		res := kern.Run(cpu, wantPositions)
-		total.Count += res.Count
-		if wantPositions {
-			if err := acct.Charge(int64(len(res.Positions)) * 4); err != nil {
-				return Result{}, stats, err
-			}
-			for _, pos := range res.Positions {
-				total.Positions = append(total.Positions, pos+uint32(begin))
-			}
-		}
-	}
-	return total, stats, nil
 }

@@ -117,14 +117,14 @@ func TestParseCreateDropIndex(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"CREATE INDEX orders (price)",       // missing ON
-		"CREATE INDEX ON orders",            // missing column
-		"CREATE INDEX ON orders (a, b)",     // composite not supported
-		"DROP INDEX ON orders",              // missing column
-		"CREATE TABLE orders (price int)",   // not index DDL
-		"CREATE INDEX ON select (price)",    // reserved word as table
-		"CREATE INDEX ON orders (select)",   // reserved word as column
-		"CREATE INDEX ON orders (price) x",  // trailing garbage
+		"CREATE INDEX orders (price)",      // missing ON
+		"CREATE INDEX ON orders",           // missing column
+		"CREATE INDEX ON orders (a, b)",    // composite not supported
+		"DROP INDEX ON orders",             // missing column
+		"CREATE TABLE orders (price int)",  // not index DDL
+		"CREATE INDEX ON select (price)",   // reserved word as table
+		"CREATE INDEX ON orders (select)",  // reserved word as column
+		"CREATE INDEX ON orders (price) x", // trailing garbage
 	} {
 		if _, err := ParseStatement(bad); err == nil {
 			t.Fatalf("ParseStatement accepted %q", bad)

@@ -374,27 +374,7 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		DegradedReason: phys.DegradedReason,
 	}
 	if cfg.Simulate {
-		hits, _, cached := e.compiler.Stats()
-		driver := cpu.Finish()
-		report := driver.Report(&e.params)
-		if perCore := phys.PerCore(); len(perCore) > 0 {
-			// Parallel scan: the counter totals are driver + workers, and the
-			// runtime comes from the shared-socket model over all cores (the
-			// driver's downstream work counts as one more core).
-			all := append(append([]mach.Counters{}, perCore...), driver)
-			totals := driver
-			for _, c := range perCore {
-				totals = addCounters(totals, c)
-			}
-			report = totals.Report(&e.params)
-			model := parallel.Combine(e.params, all)
-			report.RuntimeMs = model.RuntimeMs
-			report.RuntimeCycles = model.RuntimeMs * e.params.ClockGHz * 1e6
-			report.MemCycles = model.MemMs * e.params.ClockGHz * 1e6
-			report.AchievedGBs = model.AggregateGBs
-		}
-		pr := perfReport(report, phys.Programs, hits, cached)
-		res.Report = &pr
+		res.Report = e.simReport(cpu, phys)
 	}
 	for _, os := range phys.OperatorStats() {
 		res.Operators = append(res.Operators, OperatorStats{
@@ -451,4 +431,33 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		res.Rows = nil
 	}
 	return res, nil
+}
+
+// simReport assembles the simulated report of a plan that ran on the
+// driver CPU cpu. After a parallel scan the counter totals are driver +
+// workers, and the runtime comes from the shared-socket model over all
+// cores (the driver's downstream work counts as one more core; an idle
+// driver, as under a direct scan, adds none).
+func (e *Engine) simReport(cpu *mach.CPU, phys *pqp.Plan) *PerfReport {
+	hits, _, cached := e.compiler.Stats()
+	driver := cpu.Finish()
+	report := driver.Report(&e.params)
+	if perCore := phys.PerCore(); len(perCore) > 0 {
+		all := append([]mach.Counters{}, perCore...)
+		if driver != (mach.Counters{}) {
+			all = append(all, driver)
+		}
+		totals := driver
+		for _, c := range perCore {
+			totals = addCounters(totals, c)
+		}
+		report = totals.Report(&e.params)
+		model := parallel.Combine(e.params, all)
+		report.RuntimeMs = model.RuntimeMs
+		report.RuntimeCycles = model.RuntimeMs * e.params.ClockGHz * 1e6
+		report.MemCycles = model.MemMs * e.params.ClockGHz * 1e6
+		report.AchievedGBs = model.AggregateGBs
+	}
+	pr := perfReport(report, phys.Programs, hits, cached)
+	return &pr
 }
