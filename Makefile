@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
+.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-go-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
 
 check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
 
@@ -91,6 +91,13 @@ bench-smoke:
 bench-native:
 	$(GO) test -run=NONE -bench='Native|Emulated' -benchmem ./internal/scan
 	$(GO) run ./cmd/fusedscan-smoke -native
+
+# Go benchmarks of the native engine end to end (wall-clock ns/op plus
+# B/op and allocs/op): ad-hoc and prepared COUNT(*) over 1K rows — the
+# fixed per-query cost — and a 1M-row GROUP BY. Informational; not part
+# of `check`.
+bench-go-native:
+	$(GO) test -run '^$$' -bench NativeQuery -benchmem .
 
 # Regression gate over BENCH_NATIVE.json: counts and prune statistics must
 # match exactly; the native wall-clock may not regress by more than 20%

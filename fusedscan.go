@@ -937,8 +937,9 @@ func (b *TableBuilder) Finish() error {
 }
 
 // Query parses, plans, optimizes, JIT-compiles and executes a SQL
-// statement on a fresh simulated CPU with cold caches (the paper's
-// measurement discipline). It is QueryContext with a background context.
+// statement — when simulating, on a fresh simulated CPU with cold caches
+// (the paper's measurement discipline). It is QueryContext with a
+// background context.
 func (e *Engine) Query(sql string) (*Result, error) {
 	return e.QueryContext(context.Background(), sql)
 }
@@ -1181,7 +1182,10 @@ func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 
 	out := &ScanResult{Degraded: phys.Degraded, DegradedReason: phys.DegradedReason}
 	acct := govern.AccountantFrom(ctx)
-	cpu := mach.New(s.eng.params)
+	var cpu *mach.CPU // nil: the native cost sink
+	if cfg.Simulate {
+		cpu = mach.New(s.eng.params)
+	}
 	qres, err := phys.RunTo(ctx, cpu, func(b pqp.Batch) error {
 		// The position list outlives each batch, so its growth is charged
 		// without release.

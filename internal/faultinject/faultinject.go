@@ -53,8 +53,9 @@ func (m Mode) String() string {
 
 // Well-known injection sites wired into the engine.
 const (
-	// SiteJITCompile fails jit.Compiler.Compile (drives the graceful
-	// SISD-degradation path).
+	// SiteJITCompile fails jit.Compiler.Compile, and the native kernel
+	// choice for the same static chains (drives the graceful
+	// SISD-degradation path on both execution models).
 	SiteJITCompile = "jit.compile"
 	// SiteKernelRun panics inside a scan kernel's Run (drives the
 	// panic-isolation boundary). Only ModePanic is meaningful here: kernel

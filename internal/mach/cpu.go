@@ -44,6 +44,11 @@ func (c Counters) PAPI() map[string]uint64 {
 // CPU is one simulated core. A kernel executes its real algorithm on real
 // data and reports its instructions, branches and memory accesses to the
 // CPU; the CPU accumulates Counters from which Report derives a runtime.
+//
+// A nil *CPU is the native cost sink: every charge method is a no-op on a
+// nil receiver and Counters/Finish return zero counters, so native
+// execution runs the same operator code without building or charging a
+// machine model.
 type CPU struct {
 	P  Params
 	BP *BranchPredictor
@@ -115,6 +120,9 @@ func widthIndex(w vec.Width) int {
 // Reset clears counters, predictor state, caches and prefetch tracking —
 // the state of a fresh measurement with flushed caches, as in the paper.
 func (cpu *CPU) Reset() {
+	if cpu == nil {
+		return
+	}
 	cpu.c = Counters{}
 	cpu.BP.Reset()
 	cpu.hier.flush()
@@ -126,12 +134,18 @@ func (cpu *CPU) Reset() {
 // FlushCaches empties the cache hierarchy and drains outstanding
 // prefetches, charging any never-used ones as useless.
 func (cpu *CPU) FlushCaches() {
+	if cpu == nil {
+		return
+	}
 	cpu.hier.flush()
 	cpu.pf.drain()
 }
 
 // Scalar charges n scalar ALU instructions.
 func (cpu *CPU) Scalar(n int) {
+	if cpu == nil {
+		return
+	}
 	cpu.c.ScalarInstrs += uint64(n)
 	cpu.c.ComputeCycles += float64(n) * cpu.scalarC
 }
@@ -139,6 +153,9 @@ func (cpu *CPU) Scalar(n int) {
 // Vec charges one vector instruction of the given class and width under the
 // given ISA dialect.
 func (cpu *CPU) Vec(isa vec.ISA, kind vec.OpKind, w vec.Width) {
+	if cpu == nil {
+		return
+	}
 	cpu.c.VecInstrs++
 	cpu.c.ComputeCycles += cpu.vecCost[isa][kind][widthIndex(w)]
 }
@@ -146,6 +163,9 @@ func (cpu *CPU) Vec(isa vec.ISA, kind vec.OpKind, w vec.Width) {
 // Gather charges a gather instruction with the given number of active lanes
 // (the per-lane element loads are charged on top of the base issue cost).
 func (cpu *CPU) Gather(isa vec.ISA, w vec.Width, lanes int) {
+	if cpu == nil {
+		return
+	}
 	cpu.Vec(isa, vec.OpGather, w)
 	cpu.c.GatherLanes += uint64(lanes)
 	cpu.c.ComputeCycles += float64(lanes) * cpu.P.GatherPerLaneCycles
@@ -153,8 +173,12 @@ func (cpu *CPU) Gather(isa vec.ISA, w vec.Width, lanes int) {
 
 // Branch resolves a conditional branch at the given site with the actual
 // outcome, charging the misprediction penalty when the predictor was wrong.
-// It returns whether the branch was predicted correctly.
+// It returns whether the branch was predicted correctly (always true on
+// a nil CPU).
 func (cpu *CPU) Branch(site uint32, taken bool) bool {
+	if cpu == nil {
+		return true
+	}
 	cpu.c.Branches++
 	cpu.c.ScalarInstrs++
 	cpu.c.ComputeCycles += cpu.scalarC
@@ -169,21 +193,31 @@ func (cpu *CPU) Branch(site uint32, taken bool) bool {
 
 // PredictTaken returns the predictor's current guess for a site without
 // resolving it. The SISD kernel uses it to decide whether the hardware
-// would speculatively touch the next column.
+// would speculatively touch the next column. A nil CPU predicts not
+// taken, so no speculative prefetch is modelled.
 func (cpu *CPU) PredictTaken(site uint32) bool {
+	if cpu == nil {
+		return false
+	}
 	return cpu.BP.Predict(site)
 }
 
 // NewStream registers a sequential access stream (one per scanned column)
-// and returns its id.
+// and returns its id (0 on a nil CPU).
 func (cpu *CPU) NewStream() int {
+	if cpu == nil {
+		return 0
+	}
 	cpu.streamLine = append(cpu.streamLine, ^uint64(0))
 	return len(cpu.streamLine) - 1
 }
 
 // NewRandomRegion registers a random-access region (one per gathered
-// column) and returns its id.
+// column) and returns its id (0 on a nil CPU).
 func (cpu *CPU) NewRandomRegion() int {
+	if cpu == nil {
+		return 0
+	}
 	cpu.lastRandLine = append(cpu.lastRandLine, ^uint64(0))
 	return len(cpu.lastRandLine) - 1
 }
@@ -192,6 +226,9 @@ func (cpu *CPU) NewRandomRegion() int {
 // stream. Only line crossings consult the cache model; misses cost
 // bandwidth but no exposed latency (the stream prefetcher covers them).
 func (cpu *CPU) StreamRead(stream int, addr uint64, size int) {
+	if cpu == nil {
+		return
+	}
 	line := addr >> cpu.lineSh
 	if cpu.streamLine[stream] == line {
 		return
@@ -206,6 +243,9 @@ func (cpu *CPU) StreamRead(stream int, addr uint64, size int) {
 // line-adjacent to the previous miss in the same region (in which case the
 // stream prefetcher would have covered them).
 func (cpu *CPU) RandomRead(region int, addr uint64, size int) {
+	if cpu == nil {
+		return
+	}
 	line := addr >> cpu.lineSh
 	cpu.touch(line, true, region)
 }
@@ -215,6 +255,9 @@ func (cpu *CPU) RandomRead(region int, addr uint64, size int) {
 // is installed in the caches and its bandwidth is charged; whether it turns
 // out useless is resolved by later demand accesses (or the end of the run).
 func (cpu *CPU) SpeculativePrefetch(addr uint64) {
+	if cpu == nil {
+		return
+	}
 	line := addr >> cpu.lineSh
 	if cpu.hier.cached(line) {
 		return
@@ -250,6 +293,9 @@ func (cpu *CPU) touch(line uint64, random bool, region int) {
 // Counters returns a snapshot of the accumulated counters, with prefetch
 // statistics folded in (outstanding prefetches are not drained).
 func (cpu *CPU) Counters() Counters {
+	if cpu == nil {
+		return Counters{}
+	}
 	c := cpu.c
 	c.UselessPrefetch = cpu.pf.useless
 	c.PrefetchedLines = cpu.pf.issued
@@ -259,6 +305,9 @@ func (cpu *CPU) Counters() Counters {
 // Finish drains outstanding prefetches (counting stale ones as useless) and
 // returns the final counters for the run.
 func (cpu *CPU) Finish() Counters {
+	if cpu == nil {
+		return Counters{}
+	}
 	cpu.pf.drain()
 	return cpu.Counters()
 }

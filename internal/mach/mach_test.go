@@ -328,3 +328,36 @@ func TestCPUReset(t *testing.T) {
 		t.Fatal("cache not flushed by reset")
 	}
 }
+
+// TestNilCPUIsNoOpSink checks the native cost sink: every charge method
+// on a nil *CPU returns without effect (and without a nil dereference),
+// and the counter accessors report zero.
+func TestNilCPUIsNoOpSink(t *testing.T) {
+	var cpu *CPU
+	cpu.Reset()
+	cpu.FlushCaches()
+	cpu.Scalar(7)
+	cpu.Vec(vec.IsaAVX512, vec.OpLoad, vec.W512)
+	cpu.Gather(vec.IsaAVX2, vec.W128, 4)
+	if !cpu.Branch(3, true) {
+		t.Error("nil CPU reported a mispredicted branch")
+	}
+	if cpu.PredictTaken(3) {
+		t.Error("nil CPU predicted taken")
+	}
+	if s := cpu.NewStream(); s != 0 {
+		t.Errorf("nil CPU NewStream = %d, want 0", s)
+	}
+	if r := cpu.NewRandomRegion(); r != 0 {
+		t.Errorf("nil CPU NewRandomRegion = %d, want 0", r)
+	}
+	cpu.StreamRead(0, 1<<20, 64)
+	cpu.RandomRead(0, 1<<20, 8)
+	cpu.SpeculativePrefetch(1 << 20)
+	if c := cpu.Counters(); c != (Counters{}) {
+		t.Errorf("nil CPU Counters = %+v, want zero", c)
+	}
+	if c := cpu.Finish(); c != (Counters{}) {
+		t.Errorf("nil CPU Finish = %+v, want zero", c)
+	}
+}

@@ -34,8 +34,8 @@ type Options struct {
 	// MorselRows is the morsel size, and the zone-map granularity that
 	// pruning consults.
 	MorselRows int
-	// CPU is the caller's machine model, charged by inline morsels. Native
-	// kernels ignore it, so it may be nil there.
+	// CPU is the caller's machine model, charged by inline morsels. It is
+	// nil on the native path: a nil CPU is the no-op cost sink.
 	CPU *mach.CPU
 	// Params, when non-nil, gives every parallel worker its own simulated
 	// mach.CPU built from it. Nil (the native path) runs worker kernels

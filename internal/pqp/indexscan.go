@@ -102,15 +102,17 @@ func (op *indexScanOp) Open(ctx context.Context, cpu *mach.CPU) error {
 		}
 		op.probeCount++
 		op.probeRows += int64(len(list))
-		// Machine-model accounting: the binary search's pointer chase plus
-		// one sequential copy per materialized position.
-		levels := 1
-		for n := pr.Index.Entries(); n > 1; n >>= 1 {
-			levels++
+		if cpu != nil {
+			// Machine-model accounting: the binary search's pointer chase
+			// plus one sequential copy per materialized position.
+			levels := 1
+			for n := pr.Index.Entries(); n > 1; n >>= 1 {
+				levels++
+			}
+			cpu.Scalar(levels)
+			cpu.RandomRead(op.region, 0, levels)
+			cpu.Scalar(len(list))
 		}
-		cpu.Scalar(levels)
-		cpu.RandomRead(op.region, 0, levels)
-		cpu.Scalar(len(list))
 		lists = append(lists, list)
 	}
 	switch len(lists) {

@@ -186,7 +186,6 @@ func (op *joinOp) Open(ctx context.Context, cpu *mach.CPU) error {
 // table. NULL keys never join; NaN float keys equal nothing (including
 // themselves) and are dropped too.
 func (op *joinOp) drainBuild() error {
-	size := op.buildKey.Type().Size()
 	isFloat := op.keyType.Float()
 	for {
 		b, err := op.build.Next()
@@ -210,8 +209,7 @@ func (op *joinOp) drainBuild() error {
 			}
 			op.rowIdx++
 			pos := int(b.Base) + int(rel)
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regionB, op.buildKey.Addr(pos), size)
+			chargeRead(op.cpu, op.regionB, op.buildKey, pos)
 			if op.buildKey.Null(pos) {
 				continue
 			}
@@ -239,7 +237,6 @@ func (op *joinOp) Next() (Batch, error) {
 	}
 	op.stats.noteIn(in)
 	op.probeRows += int64(in.Count)
-	size := op.probeKey.Type().Size()
 	isFloat := op.keyType.Float()
 	var pairsP, pairsB []uint32
 	for _, rel := range in.Sel {
@@ -248,8 +245,7 @@ func (op *joinOp) Next() (Batch, error) {
 		}
 		op.rowIdx++
 		pos := int(in.Base) + int(rel)
-		op.cpu.Scalar(2)
-		op.cpu.RandomRead(op.regionP, op.probeKey.Addr(pos), size)
+		chargeRead(op.cpu, op.regionP, op.probeKey, pos)
 		if op.probeKey.Null(pos) {
 			continue
 		}
@@ -307,9 +303,11 @@ func (op *joinOp) applyResiduals(base uint32, pairsP, pairsB []uint32) ([]uint32
 			op.rowIdx++
 			ppos := int(base) + int(pairsP[i])
 			bpos := int(pairsB[i])
-			op.cpu.Scalar(4)
-			op.cpu.RandomRead(op.regionG, r.probeCol.Addr(ppos), sizeP)
-			op.cpu.RandomRead(op.regionG, r.buildCol.Addr(bpos), sizeB)
+			if op.cpu != nil {
+				op.cpu.Scalar(4)
+				op.cpu.RandomRead(op.regionG, r.probeCol.Addr(ppos), sizeP)
+				op.cpu.RandomRead(op.regionG, r.buildCol.Addr(bpos), sizeB)
+			}
 			if r.probeCol.Null(ppos) {
 				tmpP.SetNull(i)
 			} else {
@@ -455,7 +453,7 @@ func (op *groupOp) Next() (Batch, error) {
 		op.drained = true
 		if len(op.keys) == 0 {
 			// Single-group aggregate: one final batch, aggOp-compatible.
-			g, err := op.group(nil, nil, "")
+			g, err := op.group(nil, -1, -1)
 			if err != nil {
 				return Batch{}, err
 			}
@@ -500,7 +498,9 @@ func (op *groupOp) Next() (Batch, error) {
 	return out, nil
 }
 
-// drain consumes the whole input, folding every row into its group.
+// drain consumes the whole input, folding every row into its group. The
+// per-row work allocates nothing: the byte-encoded key is reused across
+// rows, and the key values are materialized only for a new group.
 func (op *groupOp) drain() error {
 	var keyBuf []byte
 	for {
@@ -524,32 +524,23 @@ func (op *groupOp) drain() error {
 				bpos = int(in.BuildSel[i])
 			}
 			keyBuf = keyBuf[:0]
-			var keyVals []expr.Value
-			var keyNull []bool
-			if len(op.keys) > 0 {
-				keyVals = make([]expr.Value, len(op.keys))
-				keyNull = make([]bool, len(op.keys))
-				for ki, kc := range op.keys {
-					pos := ppos
-					if kc.build {
-						pos = bpos
-					}
-					op.cpu.Scalar(2)
-					op.cpu.RandomRead(op.regionK, kc.col.Addr(pos), kc.col.Type().Size())
-					if kc.col.Null(pos) {
-						// SQL groups all NULL keys together.
-						keyNull[ki] = true
-						keyBuf = append(keyBuf, 1, 0, 0, 0, 0, 0, 0, 0, 0)
-						continue
-					}
-					keyVals[ki] = kc.col.Value(pos)
-					k := scan.NormKeyBits(kc.col.Type(), kc.col.Raw(pos))
-					keyBuf = append(keyBuf, 0,
-						byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
-						byte(k>>32), byte(k>>40), byte(k>>48), byte(k>>56))
+			for _, kc := range op.keys {
+				pos := ppos
+				if kc.build {
+					pos = bpos
 				}
+				chargeRead(op.cpu, op.regionK, kc.col, pos)
+				if kc.col.Null(pos) {
+					// SQL groups all NULL keys together.
+					keyBuf = append(keyBuf, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+					continue
+				}
+				k := scan.NormKeyBits(kc.col.Type(), kc.col.Raw(pos))
+				keyBuf = append(keyBuf, 0,
+					byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
+					byte(k>>32), byte(k>>40), byte(k>>48), byte(k>>56))
 			}
-			g, err := op.group(keyVals, keyNull, string(keyBuf))
+			g, err := op.group(keyBuf, ppos, bpos)
 			if err != nil {
 				return err
 			}
@@ -562,8 +553,7 @@ func (op *groupOp) drain() error {
 				if it.bld {
 					pos = bpos
 				}
-				op.cpu.Scalar(2)
-				op.cpu.RandomRead(op.regionA, it.col.Addr(pos), it.col.Type().Size())
+				chargeRead(op.cpu, op.regionA, it.col, pos)
 				if it.col.Null(pos) {
 					continue
 				}
@@ -573,9 +563,11 @@ func (op *groupOp) drain() error {
 	}
 }
 
-// group returns (creating and charging on first sight) the state for a key.
-func (op *groupOp) group(keyVals []expr.Value, keyNull []bool, key string) (*groupState, error) {
-	if g, ok := op.groups[key]; ok {
+// group returns the state for the encoded key of the row at probe
+// position ppos / build position bpos. On first sight it charges the
+// group, copies the key and reads the row's key values.
+func (op *groupOp) group(key []byte, ppos, bpos int) (*groupState, error) {
+	if g, ok := op.groups[string(key)]; ok {
 		return g, nil
 	}
 	// Group state is retained until the sink drains: charge as it accrues.
@@ -583,8 +575,23 @@ func (op *groupOp) group(keyVals []expr.Value, keyNull []bool, key string) (*gro
 	if err := govern.Charge(op.ctx, cost); err != nil {
 		return nil, err
 	}
-	g := &groupState{keyVals: keyVals, keyNull: keyNull, states: make([]aggState, len(op.items))}
-	op.groups[key] = g
+	g := &groupState{states: make([]aggState, len(op.items))}
+	if len(op.keys) > 0 {
+		g.keyVals = make([]expr.Value, len(op.keys))
+		g.keyNull = make([]bool, len(op.keys))
+		for ki, kc := range op.keys {
+			pos := ppos
+			if kc.build {
+				pos = bpos
+			}
+			if kc.col.Null(pos) {
+				g.keyNull[ki] = true
+			} else {
+				g.keyVals[ki] = kc.col.Value(pos)
+			}
+		}
+	}
+	op.groups[string(key)] = g
 	return g, nil
 }
 
@@ -732,8 +739,7 @@ func (op *joinProjectOp) Next() (Batch, error) {
 			if pc.build {
 				pos = int(in.BuildSel[i])
 			}
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regions[ci], pc.col.Addr(pos), pc.col.Type().Size())
+			chargeRead(op.cpu, op.regions[ci], pc.col, pos)
 			row[ci] = pc.col.Value(pos)
 			if pc.col.Null(pos) {
 				nullRow[ci] = true

@@ -36,6 +36,24 @@ func pollCtx(ctx context.Context, i int) error {
 	return ctx.Err()
 }
 
+// chargeRead charges cpu for one row's data-dependent read of col at pos:
+// the address computation plus the random access. A nil cpu is the native
+// cost sink, and then not even the simulated address is computed.
+func chargeRead(cpu *mach.CPU, region int, col *column.Column, pos int) {
+	if cpu != nil {
+		simRead(cpu, region, col, pos)
+	}
+}
+
+// simRead is chargeRead's simulated half, kept out of line so the native
+// nil check inlines into the row loops.
+//
+//go:noinline
+func simRead(cpu *mach.CPU, region int, col *column.Column, pos int) {
+	cpu.Scalar(2)
+	cpu.RandomRead(region, col.Addr(pos), col.Type().Size())
+}
+
 // Memory-accounting cost estimates. The accountant (govern.Accountant,
 // carried in the query context) is charged per in-flight batch for
 // transient position memory (released as the pipeline advances) and
@@ -283,7 +301,7 @@ func (op *filterOp) Next() (Batch, error) {
 	}
 	op.stats.noteIn(in)
 	col := op.pred.Col
-	size := col.Type().Size()
+	typ := col.Type()
 	needle := op.pred.StoredBits()
 	out := Batch{Base: in.Base}
 	for i, rel := range in.Sel {
@@ -292,9 +310,8 @@ func (op *filterOp) Next() (Batch, error) {
 		}
 		op.rowIdx++
 		pos := int(in.Base) + int(rel)
-		op.cpu.Scalar(2)
-		op.cpu.RandomRead(op.region, col.Addr(pos), size)
-		match := expr.CompareBits(col.Type(), op.pred.Op, col.Raw(pos), needle)
+		chargeRead(op.cpu, op.region, col, pos)
+		match := expr.CompareBits(typ, op.pred.Op, col.Raw(pos), needle)
 		op.cpu.Branch(0x900+uint32(op.region), match)
 		if match {
 			out.Count++
@@ -501,8 +518,7 @@ func (op *aggOp) fold(in Batch) error {
 			if it.col == nil {
 				continue
 			}
-			op.cpu.Scalar(2) // address computation + fold
-			op.cpu.RandomRead(op.regions[i], it.col.Addr(pos), it.col.Type().Size())
+			chargeRead(op.cpu, op.regions[i], it.col, pos)
 			if it.col.Null(pos) {
 				continue
 			}
@@ -614,7 +630,6 @@ func (op *sortOp) Next() (Batch, error) {
 // ordered position permutation.
 func (op *sortOp) drain() error {
 	region := op.cpu.NewRandomRegion()
-	size := op.col.Type().Size()
 	var positions []uint32
 	var keys []expr.Value
 	var nulls []bool
@@ -638,8 +653,7 @@ func (op *sortOp) drain() error {
 			}
 			op.rowIdx++
 			pos := int(in.Base) + int(rel)
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(region, op.col.Addr(pos), size)
+			chargeRead(op.cpu, region, op.col, pos)
 			isNull := op.col.Null(pos)
 			positions = append(positions, uint32(pos))
 			nulls = append(nulls, isNull)
@@ -801,8 +815,7 @@ func (op *projectOp) Next() (Batch, error) {
 			nullRow = make([]bool, len(op.cols))
 		}
 		for i, c := range op.cols {
-			op.cpu.Scalar(2)
-			op.cpu.RandomRead(op.regions[i], c.Addr(pos), c.Type().Size())
+			chargeRead(op.cpu, op.regions[i], c, pos)
 			row[i] = c.Value(pos)
 			if op.anyNullable && c.Null(pos) {
 				nullRow[i] = true

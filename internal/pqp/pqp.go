@@ -22,6 +22,7 @@ import (
 
 	"fusedscan/internal/column"
 	"fusedscan/internal/expr"
+	"fusedscan/internal/faultinject"
 	"fusedscan/internal/jit"
 	"fusedscan/internal/lqp"
 	"fusedscan/internal/mach"
@@ -521,8 +522,12 @@ type kernelFamily struct {
 // the chosen family cannot build falls back to the scalar scan — same
 // results, slower — and marks the plan Degraded instead of failing the
 // query (graceful degradation). Only a chain SISD rejects too surfaces the
-// original error. A join's residual evaluator passes a nil ch and p: its
-// chain exists only at run time, and it is not a scan leaf of the plan.
+// original error. The native kernels are pre-generated, but a chain the
+// emulated path would JIT-compile (non-nil comp) honours an injected
+// compile failure on the native path too, so both execution models share
+// one degradation path. A join's residual evaluator passes a nil ch and
+// p: its chain exists only at run time, and it is not a scan leaf of the
+// plan.
 func pickKernels(ch scan.Chain, comp *jit.Compiler, opts Options, p *Plan) (kernelFamily, error) {
 	var f kernelFamily
 	var err error
@@ -530,6 +535,9 @@ func pickKernels(ch scan.Chain, comp *jit.Compiler, opts Options, p *Plan) (kern
 	case opts.Native:
 		f = kernelFamily{func(sub scan.Chain) (scan.Kernel, error) { return scan.NewNative(sub) },
 			"NativeTableScan(SWAR)", PathNative}
+		if comp != nil {
+			err = faultinject.Hit(faultinject.SiteJITCompile)
+		}
 	case !opts.UseFused:
 		f = kernelFamily{sisdKernel, "TableScan(SISD)", PathScalar}
 	case comp != nil:

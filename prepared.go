@@ -348,7 +348,12 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	}
 
 	stage = stageExecute
-	cpu := mach.New(e.params)
+	// A nil CPU is the native cost sink: only a simulated query builds
+	// the machine model.
+	var cpu *mach.CPU
+	if cfg.Simulate {
+		cpu = mach.New(e.params)
+	}
 	var sink pqp.BatchSink
 	if eo.stream != nil {
 		shape := phys.Shape()
