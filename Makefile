@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-go-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
+.PHONY: check fmt build vet test perfbench-check race soak fuzz fuzz-storage fuzz-join fuzz-packed fuzz-index bench bench-smoke bench-native bench-go-native bench-native-check bench-packed-check bench-index-check serve-check bench-serve bench-serve-check crash-check generate vuln clean
 
-check: fmt build vet race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
+check: fmt build vet perfbench-check race soak fuzz-join fuzz-packed fuzz-index bench-smoke bench-native-check bench-packed-check bench-index-check serve-check bench-serve-check crash-check vuln
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file.
 fmt:
@@ -17,6 +17,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a Go module of its own (the repo benchmark), so the root
+# build and vet never compile it; this keeps it building against the
+# public API.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Plain test run (the seed's tier-1 gate).
 test:

@@ -297,28 +297,7 @@ func analyzeOne(eng *fusedscan.Engine, sql string) {
 	}
 	fmt.Println("batch pipeline:")
 	for _, op := range res.Operators {
-		extra := ""
-		if op.Path != "" {
-			extra = fmt.Sprintf(" path=%s pruned=%d", op.Path, op.ChunksPruned)
-		}
-		if op.Encoding != "" {
-			extra += fmt.Sprintf(" enc=%s bytes=%d", op.Encoding, op.BytesScanned)
-		}
-		if op.BuildRows > 0 || op.ProbeRows > 0 {
-			extra += fmt.Sprintf(" build=%d probe=%d", op.BuildRows, op.ProbeRows)
-		}
-		if op.BloomChecks > 0 {
-			extra += fmt.Sprintf(" bloom=%d/%d", op.BloomPass, op.BloomChecks)
-		}
-		if op.Groups > 0 {
-			extra += fmt.Sprintf(" groups=%d", op.Groups)
-		}
-		if op.IndexProbes > 0 {
-			extra += fmt.Sprintf(" probes=%d idxrows=%d", op.IndexProbes, op.IndexRows)
-		}
-		fmt.Printf("%s%s  [in=%d out=%d batches=%d %s%s]\n",
-			strings.Repeat("  ", op.Depth+1), op.Name, op.RowsIn, op.RowsOut, op.Batches,
-			time.Duration(op.WallNs), extra)
+		fmt.Printf("%s%s\n", strings.Repeat("  ", op.Depth+1), op)
 	}
 	printResult(res)
 }

@@ -157,50 +157,10 @@ func perfReport(r mach.Report, progs []*jit.Program, hits, cached int) PerfRepor
 }
 
 // OperatorStats is one physical operator's runtime counters from the
-// batch pipeline: how many qualifying rows it pulled from its child, how
-// many it handed to its parent, how many batches it emitted, and the
-// wall-clock time spent in it (inclusive of children). Entries are
-// ordered root first, matching the physical plan tree.
-type OperatorStats struct {
-	Name    string
-	RowsIn  int64
-	RowsOut int64
-	Batches int64
-	WallNs  int64
-	// ChunksPruned counts scan chunks skipped by zone-map pruning (scan
-	// leaves only).
-	ChunksPruned int64
-	// Path names the execution path a scan leaf used: "native", "emulated",
-	// "scalar" or "scalar-fallback". Empty for non-scan operators.
-	Path string
-	// Depth is the operator's depth in the plan tree (root 0); a hash
-	// join's build subtree is indented below the join.
-	Depth int
-	// BuildRows / ProbeRows are hash-join counters: rows folded into the
-	// build-side hash table and probe-side rows that reached the join.
-	BuildRows int64
-	ProbeRows int64
-	// BloomChecks / BloomPass count predicate-transfer prefilter
-	// evaluations on the probe side: rows checked and rows let through.
-	BloomChecks int64
-	BloomPass   int64
-	// Groups counts distinct groups a grouped-aggregation sink produced.
-	Groups int64
-	// Encoding names the storage encoding of a scan leaf's predicate
-	// columns: "plain", "packed", or "mixed". Empty for non-scan
-	// operators.
-	Encoding string
-	// BytesScanned totals the stored value bytes the scan leaf's
-	// predicate columns covered across non-pruned windows — packed
-	// columns count their 64-bit word spans, so the compression win is
-	// directly visible next to RowsIn.
-	BytesScanned int64
-	// IndexProbes / IndexRows are index-scan counters: secondary-index
-	// probes executed and positions they materialized before the sorted
-	// intersection narrowed them.
-	IndexProbes int64
-	IndexRows   int64
-}
+// batch pipeline (see internal/pqp): rows in and out, batches emitted,
+// inclusive wall-clock time and the scan, join, group and index counters.
+// Entries are ordered root first, matching the physical plan tree.
+type OperatorStats = pqp.OperatorStats
 
 // Result is the outcome of Engine.Query.
 type Result struct {
@@ -225,7 +185,8 @@ type Result struct {
 	DegradedReason string
 }
 
-// QueryError is the structured failure Engine.QueryContext returns when a
+// QueryError is the structured failure Engine.QueryContext (and every
+// other query entry point, the direct Scan included) returns when a
 // stage of query processing panics (and, for fault-injection tests, when a
 // stage is made to fail). The panic-recovery boundary converts internal
 // panics — a malformed plan, a kernel bug, an injected fault — into this
@@ -234,7 +195,8 @@ type QueryError struct {
 	// Stage is where processing failed: "parse", "plan", "translate" or
 	// "execute".
 	Stage string
-	// Query is the SQL text that triggered the failure.
+	// Query is the SQL text that triggered the failure ("scan <table>"
+	// for a direct Scan).
 	Query string
 	// Err is the underlying cause (for a recovered panic, an error
 	// wrapping the panic value).
@@ -309,22 +271,12 @@ func DefaultGovernance() Governance { return govern.Defaults() }
 // EngineStats is a point-in-time snapshot of the engine's governance and
 // JIT counters, for operators and load tests.
 type EngineStats struct {
-	// Admission control.
-	Admitted      int64 // queries that passed admission
-	Rejected      int64 // queries shed with ErrOverloaded
-	QueueTimeouts int64 // rejections after waiting the full QueueWait
-	Running       int64 // admitted queries currently executing
-	Queued        int64 // queries currently waiting for admission
-	// Adaptive admission (see DESIGN.md §13).
-	QueueAgeSheds    int64   // waiters shed CoDel-style for over-target sojourn
-	FairnessSheds    int64   // waiters displaced for per-session fairness
-	DeadlineRejects  int64   // queries rejected with ErrDeadlineExhausted
-	CheapAdmitted    int64   // admissions through the cheap lane
-	QueueDrainPerSec float64 // observed admission throughput (basis for Retry-After)
-	EstServiceMs     float64 // observed per-query service time EWMA (deadline budgets)
-	// Memory budgets and storage.
-	MemBudgetDenials int64 // queries failed with ErrMemoryBudget
-	LoadRetries      int64 // transient table-load faults that were retried
+	// Admission control, adaptive admission (DESIGN.md §8, §13), memory
+	// budgets and load retries: Admitted, Rejected, QueueTimeouts,
+	// Running, Queued, QueueAgeSheds, FairnessSheds, DeadlineRejects,
+	// CheapAdmitted, QueueDrainPerSec, EstServiceMs, MemBudgetDenials and
+	// LoadRetries.
+	govern.Stats
 	// JIT circuit breaker.
 	BreakerState               string // "closed", "open" or "half-open"
 	BreakerTrips               int64  // closed->open transitions
@@ -426,22 +378,44 @@ type Engine struct {
 	// plans is the shared prepared-statement plan cache (see Prepare).
 	plans *planCache
 
-	// Batch-pipeline counters (cumulative, for Stats).
-	pipeBatches atomic.Int64
-	pipeRows    atomic.Int64
-	// Multi-table pipeline counters (cumulative, for Stats).
+	// Operator counters summed over every query (see noteOperators).
+	pipeBatches     atomic.Int64
+	pipeRows        atomic.Int64
 	joinBuildRows   atomic.Int64
 	joinProbeRows   atomic.Int64
 	joinBloomChecks atomic.Int64
 	joinBloomPass   atomic.Int64
 	groupsProduced  atomic.Int64
-	// Scan storage counters (cumulative, for Stats).
-	bytesScanned atomic.Int64
-	packedScans  atomic.Int64
-	// Index-subsystem counters (cumulative, for Stats).
-	idxProbes atomic.Int64
-	idxRows   atomic.Int64
-	idxScans  atomic.Int64
+	bytesScanned    atomic.Int64
+	packedScans     atomic.Int64
+	idxProbes       atomic.Int64
+	idxRows         atomic.Int64
+	idxScans        atomic.Int64
+}
+
+// noteOperators adds one query's operator counters, root first, to the
+// engine totals Stats reports.
+func (e *Engine) noteOperators(ops []OperatorStats) {
+	for _, os := range ops {
+		e.pipeBatches.Add(os.Batches)
+		e.joinBuildRows.Add(os.BuildRows)
+		e.joinProbeRows.Add(os.ProbeRows)
+		e.joinBloomChecks.Add(os.BloomChecks)
+		e.joinBloomPass.Add(os.BloomPass)
+		e.groupsProduced.Add(os.Groups)
+		e.bytesScanned.Add(os.BytesScanned)
+		if os.Encoding == pqp.EncodingPacked || os.Encoding == pqp.EncodingMixed {
+			e.packedScans.Add(1)
+		}
+		e.idxProbes.Add(os.IndexProbes)
+		e.idxRows.Add(os.IndexRows)
+		if os.IndexProbes > 0 {
+			e.idxScans.Add(1)
+		}
+	}
+	if len(ops) > 0 {
+		e.pipeRows.Add(ops[0].RowsOut)
+	}
 }
 
 // addCounters sums two counter sets field by field.
@@ -501,24 +475,11 @@ func (e *Engine) Governance() Governance { return e.gov.Config() }
 
 // Stats snapshots the engine's governance and JIT counters.
 func (e *Engine) Stats() EngineStats {
-	gs := e.gov.Snapshot()
 	bs := e.breaker.Stats()
 	hits, misses, cached := e.compiler.Stats()
 	ps := e.plans.stats()
 	st := EngineStats{
-		Admitted:                   gs.Admitted,
-		Rejected:                   gs.Rejected,
-		QueueTimeouts:              gs.QueueTimeouts,
-		Running:                    gs.Running,
-		Queued:                     gs.Queued,
-		QueueAgeSheds:              gs.QueueAgeSheds,
-		FairnessSheds:              gs.FairnessSheds,
-		DeadlineRejects:            gs.DeadlineRejects,
-		CheapAdmitted:              gs.CheapAdmitted,
-		QueueDrainPerSec:           gs.QueueDrainPerSec,
-		EstServiceMs:               gs.EstServiceMs,
-		MemBudgetDenials:           gs.MemBudgetDenials,
-		LoadRetries:                gs.LoadRetries,
+		Stats:                      e.gov.Snapshot(),
 		BreakerState:               bs.State,
 		BreakerTrips:               bs.Trips,
 		BreakerRejections:          bs.Rejections,
@@ -536,6 +497,9 @@ func (e *Engine) Stats() EngineStats {
 		GroupsProduced:             e.groupsProduced.Load(),
 		BytesScanned:               e.bytesScanned.Load(),
 		PackedScans:                e.packedScans.Load(),
+		IndexScans:                 e.idxScans.Load(),
+		IndexProbes:                e.idxProbes.Load(),
+		IndexRows:                  e.idxRows.Load(),
 		PlanCacheHits:              ps.hits,
 		PlanCacheMisses:            ps.misses,
 		PlanCacheSize:              ps.size,
@@ -543,9 +507,6 @@ func (e *Engine) Stats() EngineStats {
 		PlanCacheInvalidations:     ps.invalidations,
 		CatalogEpoch:               e.epoch.Load(),
 	}
-	st.IndexScans = e.idxScans.Load()
-	st.IndexProbes = e.idxProbes.Load()
-	st.IndexRows = e.idxRows.Load()
 	e.mu.RLock()
 	st.TablesQuarantined = int64(len(e.quarantined))
 	for _, cols := range e.indexes {
@@ -954,9 +915,11 @@ const (
 
 // recoverStage converts a panic in a query-processing stage into a
 // *QueryError, so internal panics fail one query instead of the process.
-func recoverStage(stage *string, sql string, res **Result, err *error) {
+// It is deferred by every public entry point that runs a query stage.
+func recoverStage[T any](stage *string, sql string, res *T, err *error) {
 	if r := recover(); r != nil {
-		*res = nil
+		var zero T
+		*res = zero
 		*err = &QueryError{
 			Stage:    *stage,
 			Query:    sql,
@@ -1016,18 +979,7 @@ type Explain struct {
 // it recovers panics in any planning stage into a *QueryError.
 func (e *Engine) ExplainQuery(sql string) (ex *Explain, err error) {
 	stage := stageParse
-	defer func() {
-		if r := recover(); r != nil {
-			ex = nil
-			err = &QueryError{
-				Stage:    stage,
-				Query:    sql,
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    string(debug.Stack()),
-			}
-		}
-	}()
+	defer recoverStage(&stage, sql, &ex, &err)
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -1151,66 +1103,45 @@ func (s *Scan) Run() (*ScanResult, error) {
 
 // RunContext is Run with cooperative cancellation: ctx is checked between
 // morsels, so a cancelled or deadline-exceeded context aborts the scan
-// promptly with ctx.Err(). A failed JIT compile degrades the scan to the
-// scalar kernel rather than failing it. When the engine has a per-query
-// memory budget configured, the retained position list is charged against
-// it and the scan fails with ErrMemoryBudget when exceeded.
+// promptly with ctx.Err(). The scan runs on the same governed path as SQL:
+// admission control, the default query deadline, panic isolation (a
+// *QueryError naming the scan's table) and the engine counters. A failed
+// JIT compile degrades the scan to the scalar kernel rather than failing
+// it. When the engine has a per-query memory budget configured, the
+// retained position list is charged against it and the scan fails with
+// ErrMemoryBudget when exceeded.
 func (s *Scan) RunContext(ctx context.Context) (*ScanResult, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	out := &ScanResult{}
+	makePlan := func(*string) (*lqp.Plan, error) {
+		leaf := &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}
+		return &lqp.Plan{Root: leaf, Table: s.tbl}, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if acct := s.eng.gov.NewAccountant(); acct != nil {
-		ctx = govern.WithAccountant(ctx, acct)
-	}
-	cfg := s.eng.Config()
-	opts, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Params = s.eng.params
-	leaf := &lqp.FusedChain{Input: &lqp.StoredTable{Table: s.tbl}, Preds: s.preds}
-	phys, err := pqp.Translate(&lqp.Plan{Root: leaf, Table: s.tbl}, s.eng.compiler, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ScanResult{Degraded: phys.Degraded, DegradedReason: phys.DegradedReason}
-	acct := govern.AccountantFrom(ctx)
-	var cpu *mach.CPU // nil: the native cost sink
-	if cfg.Simulate {
-		cpu = mach.New(s.eng.params)
-	}
-	qres, err := phys.RunTo(ctx, cpu, func(b pqp.Batch) error {
-		// The position list outlives each batch, so its growth is charged
-		// without release.
-		if err := acct.Charge(int64(len(b.Sel)) * 4); err != nil {
-			return err
+	collect := func(acct *govern.Accountant) pqp.BatchSink {
+		return func(b pqp.Batch) error {
+			// The position list outlives each batch, so its growth is
+			// charged without release.
+			if err := acct.Charge(int64(len(b.Sel)) * 4); err != nil {
+				return err
+			}
+			for _, p := range b.Sel {
+				out.Positions = append(out.Positions, b.Base+p)
+			}
+			return nil
 		}
-		for _, p := range b.Sel {
-			out.Positions = append(out.Positions, b.Base+p)
-		}
-		return nil
-	})
+	}
+	res, err := s.eng.execute(ctx, "scan "+s.tbl.Name(), makePlan, execOpts{sink: collect})
 	if err != nil {
 		return nil, err
 	}
-	st := phys.OperatorStats()[0]
-	out.Count = int(qres.Count)
+	st := res.Operators[0]
+	out.Count = int(res.Count)
+	out.Report = res.Report
 	out.ChunksPruned = int(st.ChunksPruned)
 	out.Encoding = st.Encoding
 	out.BytesScanned = st.BytesScanned
-	s.eng.bytesScanned.Add(out.BytesScanned)
-	if out.Encoding != pqp.EncodingPlain {
-		s.eng.packedScans.Add(1)
-	}
-	if cfg.Simulate {
-		out.Report = s.eng.simReport(cpu, phys)
-	}
+	out.Degraded, out.DegradedReason = res.Degraded, res.DegradedReason
 	return out, nil
 }

@@ -366,3 +366,51 @@ func TestGovernanceConfigRoundTrip(t *testing.T) {
 		t.Errorf("Governance() = %+v after SetGovernance", got)
 	}
 }
+
+// TestScanAdmissionAndDefaultTimeout: a direct scan passes the same
+// admission control and default deadline as a SQL query.
+func TestScanAdmissionAndDefaultTimeout(t *testing.T) {
+	eng, want := buildTestEngine(t, 2000, 0.5, 0.5)
+	g := DefaultGovernance()
+	g.MaxConcurrent = 1
+	g.MaxQueue = 0
+	eng.SetGovernance(g)
+
+	release, err := eng.gov.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	_, err = eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if d := eng.Stats().Rejected - before.Rejected; d != 1 {
+		t.Errorf("Rejected grew by %d, want 1", d)
+	}
+	release()
+	before = eng.Stats()
+	res, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	if err != nil {
+		t.Fatalf("scan after release: %v", err)
+	}
+	if res.Count != want {
+		t.Errorf("count = %d, want %d", res.Count, want)
+	}
+	if d := eng.Stats().Admitted - before.Admitted; d != 1 {
+		t.Errorf("Admitted grew by %d, want 1", d)
+	}
+
+	g = DefaultGovernance()
+	g.DefaultQueryTimeout = time.Nanosecond
+	eng.SetGovernance(g)
+	_, err = eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").Run()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded from the default timeout", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := eng.NewScan("tbl").Where("a", "=", "5").Where("b", "=", "2").RunContext(ctx); err != nil {
+		t.Fatalf("scan with caller deadline: %v", err)
+	}
+}

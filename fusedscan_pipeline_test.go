@@ -1,6 +1,7 @@
 package fusedscan
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,56 @@ func TestLimitShortCircuitTenMillionRows(t *testing.T) {
 		}
 		if scan.RowsIn >= n/100 {
 			t.Errorf("fused=%v: scan consumed %d rows of %d — LIMIT did not short-circuit", cfg.UseFused, scan.RowsIn, n)
+		}
+	}
+}
+
+// TestScanCountersMatchSQL: the same packed-column chain run as SQL and as
+// a direct Scan adds the same storage and pipeline counters to
+// EngineStats. The SQL plan's aggregate root adds its own batch on top.
+func TestScanCountersMatchSQL(t *testing.T) {
+	const n = 150_000
+	rng := rand.New(rand.NewSource(5))
+	av := make([]int32, n)
+	bv := make([]int32, n)
+	for i := range av {
+		av[i] = int32(rng.Intn(16))
+		bv[i] = int32(rng.Intn(4))
+	}
+	eng := NewEngine()
+	if err := eng.CreateTable("p").Int32("a", av).Int32("b", bv).Pack().Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{DefaultConfig(), NativeConfig()} {
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		s0 := eng.Stats()
+		res, err := eng.Query("SELECT COUNT(*) FROM p WHERE a = 5 AND b = 2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1 := eng.Stats()
+		sr, err := eng.NewScan("p").Where("a", "=", "5").Where("b", "=", "2").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2 := eng.Stats()
+		if int64(sr.Count) != res.Count {
+			t.Fatalf("simulate=%v: scan count %d, SQL count %d", cfg.Simulate, sr.Count, res.Count)
+		}
+		if sqlD, scanD := s1.BytesScanned-s0.BytesScanned, s2.BytesScanned-s1.BytesScanned; sqlD != scanD || scanD == 0 {
+			t.Errorf("simulate=%v: BytesScanned SQL %d, scan %d", cfg.Simulate, sqlD, scanD)
+		}
+		if sqlD, scanD := s1.PackedScans-s0.PackedScans, s2.PackedScans-s1.PackedScans; sqlD != scanD || scanD != 1 {
+			t.Errorf("simulate=%v: PackedScans SQL %d, scan %d, want 1 each", cfg.Simulate, sqlD, scanD)
+		}
+		sqlD := s1.PipelineBatches - s0.PipelineBatches - res.Operators[0].Batches
+		if scanD := s2.PipelineBatches - s1.PipelineBatches; sqlD != scanD || scanD == 0 {
+			t.Errorf("simulate=%v: PipelineBatches below the SQL root %d, scan %d", cfg.Simulate, sqlD, scanD)
+		}
+		if sqlD, scanD := s1.PipelineRows-s0.PipelineRows, s2.PipelineRows-s1.PipelineRows; sqlD != scanD {
+			t.Errorf("simulate=%v: PipelineRows SQL %d, scan %d", cfg.Simulate, sqlD, scanD)
 		}
 	}
 }

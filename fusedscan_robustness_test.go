@@ -3,6 +3,7 @@ package fusedscan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -270,5 +271,53 @@ func TestExplainQuerySurvivesInjectedCompileFailure(t *testing.T) {
 	}
 	if !strings.Contains(ex.PhysicalPlan, "degraded") {
 		t.Errorf("physical plan does not show the degraded scan:\n%s", ex.PhysicalPlan)
+	}
+}
+
+// TestScanKernelPanicReturnsQueryError: a kernel panic inside a direct
+// scan comes back as a *QueryError from the execute stage — inline at
+// Cores 1 and on a morsel worker at Cores 2 — and the next scan succeeds.
+func TestScanKernelPanicReturnsQueryError(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	eng, _ := buildTestEngine(t, 10000, 0.1, 0.5)
+	want, err := eng.NewScan("tbl").Where("a", "=", "5").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Cores, cfg.MorselRows = cores, 2000
+		if err := eng.SetConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Arm(faultinject.SiteKernelRun, 1, faultinject.ModePanic)
+		err := func() (err error) {
+			// An escaping panic is the defect under test: report it as a
+			// failure instead of crashing the test binary.
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic escaped to the caller: %v", r)
+				}
+			}()
+			_, err = eng.NewScan("tbl").Where("a", "=", "5").Run()
+			return err
+		}()
+		faultinject.Reset()
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			t.Fatalf("cores=%d: err = %v (%T), want *QueryError", cores, err, err)
+		}
+		if qe.Stage != "execute" || !qe.Panicked || qe.Stack == "" {
+			t.Errorf("cores=%d: stage=%q Panicked=%v len(Stack)=%d, want a recovered execute-stage panic",
+				cores, qe.Stage, qe.Panicked, len(qe.Stack))
+		}
+		res, err := eng.NewScan("tbl").Where("a", "=", "5").Run()
+		if err != nil {
+			t.Fatalf("cores=%d: scan after recovered panic: %v", cores, err)
+		}
+		if res.Count != want.Count {
+			t.Fatalf("cores=%d: count = %d, want %d", cores, res.Count, want.Count)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"fusedscan/internal/faultinject"
@@ -73,10 +74,11 @@ type streamItem struct {
 // Pruned morsels are filtered out before the round-robin dispatch, so the
 // simulated load per core is deterministic.
 //
-// A morsel whose kernel fails to build (or panics inside a worker) poisons
-// only that morsel: Next returns its error at that position, and the
-// pipeline treats it as fatal and Closes. A panic in an inline morsel
-// propagates to the caller, whose own recovery records the stack.
+// A morsel whose kernel fails to build (or panics inside a worker, which
+// becomes a *PanicError) poisons only that morsel: Next returns its error
+// at that position, and the pipeline treats it as fatal and Closes. A
+// panic in an inline morsel propagates to the caller, whose own recovery
+// records the stack.
 //
 // Close cancels morsels not yet started — the LIMIT short-circuit path —
 // and waits for in-flight ones, so no worker outlives the consumer.
@@ -191,6 +193,26 @@ func (s *Stream) run(cpu *mach.CPU, seq int) streamItem {
 	return streamItem{seq: seq, res: kern.Run(cpu, s.opts.Positions), bytes: sub.ScanBytes()}
 }
 
+// PanicError is the failure of a morsel whose worker panicked: the panic
+// value and the worker's stack, carried to the consumer as that morsel's
+// error.
+type PanicError struct {
+	Begin, End int // the morsel's row range
+	Value      any
+	Stack      string
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: morsel [%d, %d): panic: %v", e.Begin, e.End, e.Value)
+}
+
+// Unwrap exposes an error-typed panic value (e.g. *faultinject.Panic) to
+// errors.Is / errors.As.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // runRecovered is run for worker goroutines, which sit outside any
 // caller's recover: a panic while building or running the kernel becomes
 // that morsel's error instead of killing the process.
@@ -198,13 +220,7 @@ func (s *Stream) runRecovered(cpu *mach.CPU, seq int) (item streamItem) {
 	defer func() {
 		if r := recover(); r != nil {
 			m := s.morsels[seq]
-			// An error-typed panic value (e.g. *faultinject.Panic) is
-			// wrapped so errors.As still reaches it.
-			if cause, ok := r.(error); ok {
-				item = streamItem{seq: seq, err: fmt.Errorf("parallel: morsel [%d, %d): panic: %w", m.begin, m.end, cause)}
-			} else {
-				item = streamItem{seq: seq, err: fmt.Errorf("parallel: morsel [%d, %d): panic: %v", m.begin, m.end, r)}
-			}
+			item = streamItem{seq: seq, err: &PanicError{Begin: m.begin, End: m.end, Value: r, Stack: string(debug.Stack())}}
 		}
 	}()
 	return s.run(cpu, seq)

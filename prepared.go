@@ -20,8 +20,8 @@ package fusedscan
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime/debug"
 	"strings"
 
 	"fusedscan/internal/govern"
@@ -76,6 +76,10 @@ type execOpts struct {
 	stream  func(columns []string, rows [][]string) error
 	session string
 	cheap   bool
+	// sink, when non-nil, builds the raw batch sink the plan root drives
+	// into (the direct Scan's position collector), given the query's
+	// memory accountant (nil without a budget).
+	sink func(acct *govern.Accountant) pqp.BatchSink
 }
 
 // QueryWith is QueryContext with QueryOptions. With neither Args nor
@@ -95,24 +99,7 @@ func (e *Engine) QueryWith(ctx context.Context, sql string, qo QueryOptions) (*R
 			return nil, fmt.Errorf("fusedscan: statement wants %d argument(s), got %d", sel.NumParams, len(qo.Args))
 		}
 		shape, slots := sqlparse.Normalize(sel)
-		skel, err := e.skeleton(shape, stage)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := sqlparse.BindSlots(slots, sel.NumParams, qo.Args)
-		if err != nil {
-			return nil, err
-		}
-		*stage = stagePlan
-		plan := skel.Clone()
-		if err := plan.Bind(bound); err != nil {
-			return nil, err
-		}
-		// Skeletons are costed without literal values and always stay on
-		// the scan path; with the literals bound, the index-vs-scan choice
-		// can now be made exactly.
-		e.chooseBoundAccessPath(plan)
-		return plan, nil
+		return e.bindPlan(shape, slots, sel.NumParams, qo.Args, stage)
 	}
 	return e.execute(ctx, sql, makePlan, execOpts{config: qo.Config, stream: qo.Stream, session: qo.Session, cheap: qo.Cheap})
 }
@@ -145,6 +132,27 @@ func (e *Engine) skeleton(shape string, stage *string) (*lqp.Plan, error) {
 	return plan, nil
 }
 
+// bindPlan binds args into a clone of shape's cached skeleton. Skeletons
+// are costed without literal values and always stay on the scan path; with
+// the literals bound, the index-vs-scan choice can now be made exactly.
+func (e *Engine) bindPlan(shape string, slots []sqlparse.Slot, numParams int, args []string, stage *string) (*lqp.Plan, error) {
+	skel, err := e.skeleton(shape, stage)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := sqlparse.BindSlots(slots, numParams, args)
+	if err != nil {
+		return nil, err
+	}
+	*stage = stagePlan
+	plan := skel.Clone()
+	if err := plan.Bind(bound); err != nil {
+		return nil, err
+	}
+	e.chooseBoundAccessPath(plan)
+	return plan, nil
+}
+
 // Prepared is a statement planned once and executable many times with
 // different arguments. It is a thin handle — the optimized skeleton lives
 // in the engine's shared plan cache, so Prepared values are cheap, safe
@@ -163,18 +171,7 @@ type Prepared struct {
 // literals; literals are captured and re-bound on every execution.
 func (e *Engine) Prepare(sql string) (prep *Prepared, err error) {
 	stage := stageParse
-	defer func() {
-		if r := recover(); r != nil {
-			prep = nil
-			err = &QueryError{
-				Stage:    stage,
-				Query:    sql,
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    string(debug.Stack()),
-			}
-		}
-	}()
+	defer recoverStage(&stage, sql, &prep, &err)
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -204,7 +201,7 @@ func (p *Prepared) Execute(args ...string) (*Result, error) {
 // ExecuteContext is Execute honouring ctx, with the same cancellation,
 // panic-isolation and governance behaviour as Engine.QueryContext.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...string) (*Result, error) {
-	return p.run(ctx, nil, nil, args)
+	return p.runWith(ctx, nil, nil, args, "")
 }
 
 // ExecuteWith is ExecuteContext with QueryOptions (UsePlanCache is implied
@@ -213,32 +210,12 @@ func (p *Prepared) ExecuteWith(ctx context.Context, qo QueryOptions) (*Result, e
 	return p.runWith(ctx, qo.Config, qo.Stream, qo.Args, qo.Session)
 }
 
-func (p *Prepared) run(ctx context.Context, cfg *Config, stream func([]string, [][]string) error, args []string) (*Result, error) {
-	return p.runWith(ctx, cfg, stream, args, "")
-}
-
 func (p *Prepared) runWith(ctx context.Context, cfg *Config, stream func([]string, [][]string) error, args []string, session string) (*Result, error) {
 	if len(args) != p.numParams {
 		return nil, fmt.Errorf("fusedscan: prepared statement wants %d argument(s), got %d", p.numParams, len(args))
 	}
 	makePlan := func(stage *string) (*lqp.Plan, error) {
-		skel, err := p.eng.skeleton(p.shape, stage)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := sqlparse.BindSlots(p.slots, p.numParams, args)
-		if err != nil {
-			return nil, err
-		}
-		*stage = stagePlan
-		plan := skel.Clone()
-		if err := plan.Bind(bound); err != nil {
-			return nil, err
-		}
-		// Same as QueryWith: the access-path choice needs the bound
-		// literals the skeleton never sees.
-		p.eng.chooseBoundAccessPath(plan)
-		return plan, nil
+		return p.eng.bindPlan(p.shape, p.slots, p.numParams, args, stage)
 	}
 	// Prepared executions ride the admission cheap lane: their plan is
 	// already optimized and cached, so they are exactly the short
@@ -264,10 +241,11 @@ func renderRows(rows []pqp.Row, nulls [][]bool) [][]string {
 	return out
 }
 
-// execute is the one governed execution path under QueryContext, QueryWith
-// and Prepared.Execute*: admission control, default deadline, memory
-// accounting, stage-tracked panic recovery, translation, the batch
-// pipeline, and Result assembly. makePlan produces the bound logical plan
+// execute is the one governed execution path under QueryContext,
+// QueryWith, Prepared.Execute* and Scan.RunContext: admission control,
+// default deadline, memory accounting, stage-tracked panic recovery,
+// translation, the batch pipeline, the engine counters and Result
+// assembly. makePlan produces the bound logical plan
 // (advancing *stage as it goes); nil makePlan is the ad-hoc path — parse,
 // build and optimize the SQL text with its literal values, bypassing the
 // plan cache so simulated counters match the paper's measurement
@@ -292,9 +270,8 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		return nil, aerr
 	}
 	defer release()
-	if acct := e.gov.NewAccountant(); acct != nil {
-		ctx = govern.WithAccountant(ctx, acct)
-	}
+	acct := e.gov.NewAccountant()
+	ctx = govern.WithAccountant(ctx, acct)
 	stage := stageParse
 	defer recoverStage(&stage, sql, &res, &err)
 
@@ -355,7 +332,9 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 		cpu = mach.New(e.params)
 	}
 	var sink pqp.BatchSink
-	if eo.stream != nil {
+	if eo.sink != nil {
+		sink = eo.sink(acct)
+	} else if eo.stream != nil {
 		shape := phys.Shape()
 		if !shape.IsAggregate {
 			cols := shape.Columns
@@ -369,46 +348,25 @@ func (e *Engine) execute(ctx context.Context, sql string, makePlan func(stage *s
 	}
 	qres, err := phys.RunTo(ctx, cpu, sink)
 	if err != nil {
+		// A morsel worker's panic was recovered on its own goroutine; it is
+		// reported like one recovered here.
+		var wp *parallel.PanicError
+		if errors.As(err, &wp) {
+			return nil, &QueryError{Stage: stage, Query: sql, Err: err, Panicked: true, Stack: wp.Stack}
+		}
 		return nil, err
 	}
 	res = &Result{
 		Count:          qres.Count,
 		Columns:        qres.Columns,
+		Operators:      phys.OperatorStats(),
 		Fused:          len(phys.Programs) > 0 || phys.NativeScans > 0,
 		Degraded:       phys.Degraded,
 		DegradedReason: phys.DegradedReason,
 	}
+	e.noteOperators(res.Operators)
 	if cfg.Simulate {
 		res.Report = e.simReport(cpu, phys)
-	}
-	for _, os := range phys.OperatorStats() {
-		res.Operators = append(res.Operators, OperatorStats{
-			Name: os.Name, RowsIn: os.RowsIn, RowsOut: os.RowsOut,
-			Batches: os.Batches, WallNs: os.WallNs,
-			ChunksPruned: os.ChunksPruned, Path: os.Path,
-			Depth: os.Depth, BuildRows: os.BuildRows, ProbeRows: os.ProbeRows,
-			BloomChecks: os.BloomChecks, BloomPass: os.BloomPass, Groups: os.Groups,
-			Encoding: os.Encoding, BytesScanned: os.BytesScanned,
-			IndexProbes: os.IndexProbes, IndexRows: os.IndexRows,
-		})
-		e.bytesScanned.Add(os.BytesScanned)
-		e.idxProbes.Add(os.IndexProbes)
-		e.idxRows.Add(os.IndexRows)
-		if os.IndexProbes > 0 {
-			e.idxScans.Add(1)
-		}
-		if os.Encoding == pqp.EncodingPacked || os.Encoding == pqp.EncodingMixed {
-			e.packedScans.Add(1)
-		}
-		e.pipeBatches.Add(os.Batches)
-		e.joinBuildRows.Add(os.BuildRows)
-		e.joinProbeRows.Add(os.ProbeRows)
-		e.joinBloomChecks.Add(os.BloomChecks)
-		e.joinBloomPass.Add(os.BloomPass)
-		e.groupsProduced.Add(os.Groups)
-	}
-	if len(res.Operators) > 0 {
-		e.pipeRows.Add(res.Operators[0].RowsOut)
 	}
 	if qres.IsAggregate {
 		// Aggregates render as a one-row result set under their labels;
